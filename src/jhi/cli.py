@@ -27,7 +27,13 @@ from .diagnostics import (
     study_protocol,
 )
 from .errors import ConfigError, IntegrationFailure, JhiError
-from .integrator import METHOD_NAMES, Trajectory, integrate, reference_solution
+from .integrator import (
+    METHOD_NAMES,
+    Trajectory,
+    integrate,
+    kernel_reports,
+    reference_solution,
+)
 from .jacobi import ExtendedState
 from .models import build_model, model_names
 from .validation import run_all
@@ -124,7 +130,7 @@ def _initial_state(config: RunConfig, model) -> ExtendedState:
     return ExtendedState(x0, float(config.t0))
 
 
-def _write_manifest(outdir: Path, command: str, config: RunConfig,
+def _write_manifest(outdir: Path, command: str, config: RunConfig, model,
                     written, status: str, failure=None) -> Path:
     manifest = {
         "created": datetime.now(timezone.utc).isoformat(),
@@ -132,6 +138,8 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig,
         "config": dataclasses.asdict(config),
         "outputs": [p.name for p in written],
         "status": status,
+        # compiled kernels behind the run: op count, source hash, trace ms
+        "kernels": kernel_reports(model, config.method),
     }
     if failure is not None:
         manifest["failure"] = failure
@@ -203,11 +211,11 @@ def run(config: RunConfig, command: str = "run") -> Tuple[Path, ...]:
         }, indent=2) + "\n")
         written.append(report)
         written.append(
-            _write_manifest(outdir, command, config, written, "failed",
+            _write_manifest(outdir, command, config, model, written, "failed",
                             failure=str(exc))
         )
         raise
-    written.append(_write_manifest(outdir, command, config, written, "ok"))
+    written.append(_write_manifest(outdir, command, config, model, written, "ok"))
     return tuple(written)
 
 

@@ -16,7 +16,7 @@ more dual pass over the same expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,25 +40,29 @@ class GeneratingCoefficients:
 
     fields[i-1] evaluates S_i on a tuple of extended coordinates (floats
     or jet scalars).  Coefficients flagged identically zero are skipped
-    when assembling the step covector.
+    when assembling the step covector.  ``kernels`` holds the integrator's
+    compiled step kernels, one entry per realization, built on first use.
     """
 
     order: int
     fields: Tuple[Callable, ...]
     provenance: Tuple[str, ...]
     zero_flags: Tuple[bool, ...]
+    kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def value(self, i: int, coords) -> float:
         return float(self.fields[i - 1](tuple(float(v) for v in coords)))
 
     def covector_kernel(self, ds: float, coords):
-        """sum_i ds^i grad S_i(coords) as a tuple; jet coords welcome."""
+        """sum_i ds^i grad S_i(coords) as a tuple; jet coords and ds welcome."""
         m = len(coords)
         total = [0.0] * m
+        if isinstance(ds, (int, float)) and ds == 0.0:
+            return tuple(total)  # a zero step has a zero covector
         weight = 1.0
         for i in range(self.order):
             weight = weight * ds
-            if self.zero_flags[i] or weight == 0.0:
+            if self.zero_flags[i]:
                 continue
             _, grad = jets.evaluate_with_gradient(self.fields[i], coords)
             for comp in range(m):

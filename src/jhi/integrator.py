@@ -32,6 +32,8 @@ from .generating import GeneratingCoefficients, compute_coefficients
 from .jacobi import (
     CotangentData,
     ExtendedState,
+    lifted_field_from_parts,
+    lifted_field_parts,
     lifted_hamiltonian_field,
     lifted_vector_field,
 )
@@ -43,6 +45,7 @@ __all__ = [
     "jhi_step",
     "solve_implicit",
     "integrate",
+    "kernel_reports",
     "reference_solution",
 ]
 
@@ -118,21 +121,58 @@ _DOMAIN_FAULTS = (EvaluationError, ZeroDivisionError, OverflowError, FloatingPoi
 
 
 def _residual_terms(realization, coeffs, ds, y_coords, target_coords):
+    """alpha(y, xi(y)) - target, and the step covector xi(y)."""
     xi = coeffs.covector_kernel(ds, y_coords)
     image = realization.alpha_kernel(y_coords, xi)
-    return tuple(a - b for a, b in zip(image, target_coords))
+    return tuple(a - b for a, b in zip(image, target_coords)), xi
+
+
+class _StepKernels:
+    """Compiled step kernels of one (realization, coefficients) pair.
+
+    ``residual`` maps y + target + (ds,) to the residual followed by xi(y),
+    one trace of ``_residual_terms``; ``beta`` maps y + xi to beta(y, xi).
+    """
+
+    def __init__(self, realization, coeffs):
+        # imported at the first kernel, not with the package: without
+        # cached bytecode, compiling this module is most of its cost
+        from .compiled import Kernel
+
+        m = realization.size
+        self.realization = realization  # keeps id(realization) from reuse
+
+        def residual(inputs):
+            terms, xi = _residual_terms(
+                realization, coeffs, inputs[2 * m],
+                tuple(inputs[:m]), tuple(inputs[m : 2 * m]),
+            )
+            return terms + tuple(xi)
+
+        def beta(inputs):
+            return realization.beta_kernel(tuple(inputs[:m]), tuple(inputs[m:]))
+
+        self.residual = Kernel(f"residual_jhi{coeffs.order}", residual)
+        self.beta = Kernel("beta", beta)
+
+
+def _step_kernels(realization, coeffs) -> _StepKernels:
+    entry = coeffs.kernels.get(id(realization))
+    if entry is None:
+        entry = coeffs.kernels[id(realization)] = _StepKernels(realization, coeffs)
+    return entry
 
 
 def _residual_vector(realization, coeffs, ds, y, target_coords) -> np.ndarray:
+    m = len(y)
+    kernel = _step_kernels(realization, coeffs).residual
     try:
-        terms = _residual_terms(
-            realization, coeffs, ds, tuple(float(v) for v in y), target_coords
-        )
+        values = kernel([*map(float, y), *map(float, target_coords), float(ds)])
     except _DOMAIN_FAULTS as exc:
         raise DomainViolationError(
             f"implicit solve left the realization domain: {exc}"
         ) from exc
-    out = np.array([float(v) for v in terms])
+    out = np.array(values[:m], dtype=float)
     if not np.all(np.isfinite(out)):
         raise DomainViolationError("implicit solve produced non-finite residual")
     return out
@@ -141,9 +181,12 @@ def _residual_vector(realization, coeffs, ds, y, target_coords) -> np.ndarray:
 def _residual_jacobian(realization, coeffs, ds, y, target_coords, mode) -> np.ndarray:
     m = len(y)
     if mode == "dual":
-        seeded = tuple(jets.Dual.seed(float(v), j, m) for j, v in enumerate(y))
+        seeded = [jets.Dual.seed(float(v), j, m) for j, v in enumerate(y)]
+        kernel = _step_kernels(realization, coeffs).residual
         try:
-            terms = _residual_terms(realization, coeffs, ds, seeded, target_coords)
+            terms = kernel.dual(
+                seeded + [*map(float, target_coords), float(ds)]
+            )[:m]
         except _DOMAIN_FAULTS as exc:
             raise DomainViolationError(
                 f"implicit solve left the realization domain: {exc}"
@@ -354,11 +397,17 @@ def _jhi_advance(realization, coeffs, cfg, s_n, ds, rhs=None):
         realization, coeffs, cfg, s_n, ds,
         _predictor_shift(rhs, s_n, ds),
     )
-    xi = coeffs.covector_kernel(ds, y.coords())
-    data = CotangentData(y, tuple(xi[:-1]), float(xi[-1]))
+    kernels = _step_kernels(realization, coeffs)
+    coords = y.coords()
+    m = len(coords)
+    xi = kernels.residual([*coords, *s_n.coords(), float(ds)])[m:]
+    if not all(map(math.isfinite, xi)):
+        raise EvaluationError("non-finite step covector")
+    data = CotangentData(y, xi[:-1], xi[-1])
     if not realization.domain_ok(data):
         raise DomainViolationError("step covector left the realization domain")
-    return realization.beta(data), iterations, residual
+    image = kernels.beta([*coords, *xi])
+    return ExtendedState.from_coords(image), iterations, residual
 
 
 def jhi_step(
@@ -394,11 +443,29 @@ def jhi_step(
 
 
 def _lifted_rhs(model):
+    from .compiled import Kernel
+
     structure, hamiltonian = model.structure, model.hamiltonian
+    n = structure.dim
+    parts = _cached(
+        model,
+        "field",
+        lambda: Kernel(
+            "lifted_field",
+            lambda x: lifted_field_parts(structure, hamiltonian, x),
+        ),
+    )
 
     def rhs(coords: np.ndarray) -> np.ndarray:
-        state = ExtendedState(tuple(coords[:-1]), float(coords[-1]))
-        return lifted_vector_field(structure, hamiltonian, state)
+        values = coords.tolist()
+        if values[-1] == 0.0 or not all(map(math.isfinite, values)):
+            # not a state: the checked path raises InvalidScaleError
+            state = ExtendedState.from_coords(values)
+            return lifted_vector_field(structure, hamiltonian, state)
+        out = parts(values[:-1])
+        if not all(map(math.isfinite, out[: n + 1])):
+            raise EvaluationError("non-finite value in gradient evaluation")
+        return lifted_field_from_parts(out, values[-1])
 
     return rhs
 
@@ -444,6 +511,47 @@ _BASELINE_STEPPERS = {
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
+
+
+# Per process, for models that carry a catalog key (see models.build_model):
+# (key, order) -> (realization, coefficients), whose compiled step kernels
+# live on the coefficients, and (key, "field") -> the lifted-field kernel.
+_CACHE = {}
+
+
+def _cached(model, slot, build):
+    key = getattr(model, "catalog_key", None)
+    if key is None:
+        return build()
+    entry = _CACHE.get((key, slot))
+    if entry is None:
+        entry = _CACHE[(key, slot)] = build()
+    return entry
+
+
+def _build_scheme(model, order):
+    overrides = {i: f for i, f in (model.s_overrides or {}).items() if i <= order}
+    coeffs = compute_coefficients(
+        lifted_hamiltonian_field(model.hamiltonian),
+        model.realization,
+        order,
+        overrides=overrides or None,
+    )
+    return model.realization, coeffs
+
+
+def kernel_reports(model, method: str):
+    """Manifest entries of the kernels this process compiled for a run of
+    ``method`` on a catalog model: op count, emitted-source hash, trace ms."""
+    key = getattr(model, "catalog_key", None)
+    kind, order = _parse_method(method)
+    kernels = [_CACHE.get((key, "field"))]
+    scheme = _CACHE.get((key, order)) if kind == "jhi" else None
+    if scheme is not None:
+        step = scheme[1].kernels.get(id(scheme[0]))
+        if step is not None:
+            kernels += [step.residual, step.beta]
+    return [k.report() for k in kernels if k is not None and k.traced]
 
 
 def _plan_steps(width: float, ds: float):
@@ -511,14 +619,8 @@ def integrate(
     times = [t_a]
     states = [s0]
     if kind == "jhi":
-        overrides = {
-            i: f for i, f in (model.s_overrides or {}).items() if i <= cfg.order
-        }
-        coeffs = compute_coefficients(
-            lifted_hamiltonian_field(model.hamiltonian),
-            model.realization,
-            cfg.order,
-            overrides=overrides or None,
+        realization, coeffs = _cached(
+            model, cfg.order, lambda: _build_scheme(model, cfg.order)
         )
         diagnostics = []
         current = s0
@@ -526,7 +628,7 @@ def integrate(
         for index, h in enumerate(sizes):
             try:
                 current, iterations, residual = _jhi_advance(
-                    model.realization, coeffs, cfg, current, h, rhs=rhs
+                    realization, coeffs, cfg, current, h, rhs=rhs
                 )
             except JhiError as exc:
                 partial = Trajectory(

@@ -17,6 +17,7 @@ Poisson flow projects onto the Jacobi flow of H.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -32,6 +33,8 @@ __all__ = [
     "HamiltonianField",
     "lifted_hamiltonian",
     "lifted_hamiltonian_field",
+    "lifted_field_parts",
+    "lifted_field_from_parts",
     "jacobi_vector_field",
     "poisson_matrix",
     "lifted_vector_field",
@@ -161,13 +164,34 @@ def poisson_matrix(structure: JacobiStructure, state: ExtendedState) -> np.ndarr
     return out
 
 
+def lifted_field_parts(structure: JacobiStructure, H: HamiltonianField, x):
+    """H(x), dH(x), the rows of Lambda(x) and E(x) as one flat tuple.
+
+    These are the only evaluations X_Hhat needs; jet scalars welcome, so
+    the integrator can compile them into one kernel.
+    """
+    x = tuple(x)
+    hval, grad = jets.evaluate_with_gradient(H.h, x)
+    lam, ev = structure.lam(x), structure.e(x)
+    return (hval, *grad, *(v for row in lam for v in row), *ev)
+
+
+def lifted_field_from_parts(parts, t: float) -> np.ndarray:
+    """X_Hhat from ``lifted_field_parts`` at scale t: spatial part
+    Lambda dH - H E, and dt/ds = t * E(H)."""
+    n = round(math.sqrt(len(parts))) - 1  # len(parts) = (n + 1)**2
+    hval = float(parts[0])
+    grad = np.array(parts[1 : n + 1], dtype=float)
+    lam = np.array(parts[n + 1 : n + 1 + n * n], dtype=float).reshape(n, n)
+    ev = np.array(parts[n + 1 + n * n :], dtype=float)
+    spatial = lam @ grad - hval * ev
+    return np.concatenate([spatial, [t * float(ev @ grad)]])
+
+
 def lifted_vector_field(structure: JacobiStructure, H: HamiltonianField, state: ExtendedState) -> np.ndarray:
     """X_Hhat: spatial part X_H, and dt/ds = t * E(H)."""
-    hval, grad = H.gradient(state.x)
-    lam = structure.lambda_matrix(state.x)
-    ev = structure.e_vector(state.x)
-    spatial = lam @ grad - hval * ev
-    return np.concatenate([spatial, [state.t * float(ev @ grad)]])
+    parts = lifted_field_parts(structure, H, tuple(float(v) for v in state.x))
+    return lifted_field_from_parts(parts, state.t)
 
 
 def homogeneity_action(state: ExtendedState, z: float) -> ExtendedState:
@@ -249,9 +273,11 @@ def _fd_jacobians(structure: JacobiStructure, x):
 
 
 def _structure_jacobians(structure: JacobiStructure, x):
+    # math and numpy reject a Dual argument with TypeError; any other
+    # error is the structure's own and propagates
     try:
         return _dual_jacobians(structure, x)
-    except Exception:
+    except TypeError:
         return _fd_jacobians(structure, x)
 
 

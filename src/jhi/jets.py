@@ -9,6 +9,10 @@ further ``Dual``) components, so towers of the two give exact mixed
 derivatives up to rounding.  Elementary functions are propagated with the
 usual convolution recurrences, never symbolically.
 
+A ``Leaf`` is a scalar that stands where a float would: the recording
+scalar of ``compiled``.  Elementary functions run their domain checks on
+it through ``leading_value`` and then hand it to ``leaf.apply``.
+
 Mixing rule: a series absorbs any non-series operand as a constant
 coefficient (so ``dual * series`` promotes the dual into coefficient
 position); a dual absorbs plain numbers.  Code that builds towers should
@@ -29,6 +33,7 @@ from .errors import (
 __all__ = [
     "TruncatedSeries",
     "Dual",
+    "Leaf",
     "exp",
     "log",
     "sin",
@@ -45,8 +50,17 @@ __all__ = [
 ]
 
 
+class Leaf:
+    """Base of scalar leaves other than floats; ``value`` is the float it holds.
+
+    ``apply(name, *operands)`` evaluates an elementary function on it.
+    """
+
+    __slots__ = ()
+
+
 def _is_number(v):
-    return isinstance(v, (int, float)) or (
+    return isinstance(v, (int, float, Leaf)) or (
         hasattr(v, "dtype") and getattr(v, "ndim", 1) == 0
     )
 
@@ -171,84 +185,75 @@ class Dual:
     def seed(cls, value, index, n):
         return cls(value, tuple(1.0 if j == index else 0.0 for j in range(n)))
 
-    def _coerce(self, other):
-        if isinstance(other, Dual):
-            if len(other.partials) != len(self.partials):
-                raise ValueError("dual partial counts differ")
-            return other
-        return Dual.constant(other, len(self.partials))
+    # The arithmetic below builds partial tuples with list comprehensions;
+    # a non-dual operand counts as a dual with zero partials.
+
+    def _other_partials(self, other):
+        q = other.partials
+        if len(q) != len(self.partials):
+            raise ValueError("dual partial counts differ")
+        return q
 
     def __add__(self, other):
+        if type(other) is Dual:
+            q = self._other_partials(other)
+            return _dual(
+                self.value + other.value,
+                tuple([a + b for a, b in zip(self.partials, q)]),
+            )
         if isinstance(other, TruncatedSeries):
             return NotImplemented
-        o = self._coerce(other)
-        return Dual(
-            self.value + o.value,
-            tuple(a + b for a, b in zip(self.partials, o.partials)),
-        )
+        return _dual(self.value + other, tuple([a + 0.0 for a in self.partials]))
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is Dual:
+            q = self._other_partials(other)
+            return _dual(
+                self.value - other.value,
+                tuple([a - b for a, b in zip(self.partials, q)]),
+            )
         if isinstance(other, TruncatedSeries):
             return NotImplemented
-        o = self._coerce(other)
-        return Dual(
-            self.value - o.value,
-            tuple(a - b for a, b in zip(self.partials, o.partials)),
-        )
+        return _dual(self.value - other, tuple([a - 0.0 for a in self.partials]))
 
     def __rsub__(self, other):
         if isinstance(other, TruncatedSeries):
             return NotImplemented
-        o = self._coerce(other)
-        return Dual(
-            o.value - self.value,
-            tuple(b - a for a, b in zip(self.partials, o.partials)),
-        )
+        return _dual(other - self.value, tuple([0.0 - a for a in self.partials]))
 
     def __neg__(self):
-        return Dual(-self.value, tuple(-p for p in self.partials))
+        return _dual(-self.value, tuple([-p for p in self.partials]))
 
     def __mul__(self, other):
+        if type(other) is Dual:
+            q = self._other_partials(other)
+            v, w = self.value, other.value
+            return _dual(
+                v * w, tuple([p * w + v * b for p, b in zip(self.partials, q)])
+            )
         if isinstance(other, TruncatedSeries):
             return NotImplemented
-        if isinstance(other, Dual):
-            if len(other.partials) != len(self.partials):
-                raise ValueError("dual partial counts differ")
-            v, w = self.value, other.value
-            return Dual(
-                v * w,
-                tuple(p * w + v * q for p, q in zip(self.partials, other.partials)),
-            )
-        return Dual(self.value * other, tuple(p * other for p in self.partials))
+        return _dual(self.value * other, tuple([p * other for p in self.partials]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if isinstance(other, Dual):
+        if type(other) is Dual:
             if leading_value(other.value) == 0.0:
                 raise SingularSeriesError("division by dual with zero leading value")
+            q = self._other_partials(other)
             v, w = self.value, other.value
-            inv_w2 = 1.0 / (w * w) if _is_number(w) else None
-            if inv_w2 is not None:
-                return Dual(
-                    v / w,
-                    tuple(
-                        (p * w - v * q) * inv_w2
-                        for p, q in zip(self.partials, other.partials)
-                    ),
-                )
-            return Dual(
-                v / w,
-                tuple(
-                    (p * w - v * q) / (w * w)
-                    for p, q in zip(self.partials, other.partials)
-                ),
-            )
-        return Dual(self.value / other, tuple(p / other for p in self.partials))
+            if _is_number(w):
+                inv_w2 = 1.0 / (w * w)
+                partials = [(p * w - v * b) * inv_w2 for p, b in zip(self.partials, q)]
+            else:
+                partials = [(p * w - v * b) / (w * w) for p, b in zip(self.partials, q)]
+            return _dual(v / w, tuple(partials))
+        if isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return _dual(self.value / other, tuple([p / other for p in self.partials]))
 
     def __rtruediv__(self, other):
         return Dual.constant(other, len(self.partials)) / self
@@ -271,6 +276,17 @@ class Dual:
         return "Dual(%r, %r)" % (self.value, self.partials)
 
 
+_new_object = object.__new__
+
+
+def _dual(value, partials):
+    """Dual from a ready tuple of partials (no copy, no checks)."""
+    out = _new_object(Dual)
+    out.value = value
+    out.partials = partials
+    return out
+
+
 def leading_value(x):
     """Float at the bottom of a series/dual tower (constant term of all layers)."""
     while True:
@@ -278,12 +294,19 @@ def leading_value(x):
             x = x.coeffs[0]
         elif isinstance(x, Dual):
             x = x.value
+        elif isinstance(x, Leaf):
+            return x.value
         else:
             return float(x)
 
 
 def require_finite(x, context="evaluation"):
-    """Raise EvaluationError if any float leaf of x is NaN or infinite."""
+    """Raise EvaluationError if any float leaf of x is NaN or infinite.
+
+    A ``Leaf`` passes: a compiled kernel checks its outputs instead.
+    """
+    if isinstance(x, Leaf):
+        return x
     if isinstance(x, TruncatedSeries):
         for c in x.coeffs:
             require_finite(c, context)
@@ -320,6 +343,8 @@ def exp(v):
     if isinstance(v, Dual):
         w = exp(v.value)
         return Dual(w, tuple(w * p for p in v.partials))
+    if isinstance(v, Leaf):
+        return v.apply("exp", v)
     return math.exp(v)
 
 
@@ -337,6 +362,8 @@ def log(v):
         return TruncatedSeries(out)
     if isinstance(v, Dual):
         return Dual(log(v.value), tuple(p / v.value for p in v.partials))
+    if isinstance(v, Leaf):
+        return v.apply("log", v)
     return math.log(v)
 
 
@@ -361,6 +388,8 @@ def sin(v):
     if isinstance(v, Dual):
         cv = cos(v.value)
         return Dual(sin(v.value), tuple(cv * p for p in v.partials))
+    if isinstance(v, Leaf):
+        return v.apply("sin", v)
     return math.sin(v)
 
 
@@ -370,6 +399,8 @@ def cos(v):
     if isinstance(v, Dual):
         sv = sin(v.value)
         return Dual(cos(v.value), tuple(-(sv * p) for p in v.partials))
+    if isinstance(v, Leaf):
+        return v.apply("cos", v)
     return math.cos(v)
 
 
@@ -388,6 +419,8 @@ def sqrt(v):
     if isinstance(v, Dual):
         w = sqrt(v.value)
         return Dual(w, tuple(p / (2.0 * w) for p in v.partials))
+    if isinstance(v, Leaf):
+        return v.apply("sqrt", v)
     return math.sqrt(v)
 
 
@@ -395,7 +428,7 @@ def power(v, r):
     """v**r for real r; integer exponents fall back to repeated products."""
     if isinstance(r, int) or (isinstance(r, float) and r.is_integer()):
         n = int(r)
-        if isinstance(v, (TruncatedSeries, Dual)):
+        if isinstance(v, (TruncatedSeries, Dual, Leaf)):
             return v**n
         return float(v) ** n
     lv = leading_value(v)
@@ -414,6 +447,8 @@ def power(v, r):
             power(v.value, r),
             tuple((r * power(v.value, r - 1.0)) * p for p in v.partials),
         )
+    if isinstance(v, Leaf):
+        return v.apply("rpow", v, r)
     return float(v) ** r
 
 
@@ -453,6 +488,8 @@ def arctan2(y, x):
                 for py, px in zip(yd.partials, xd.partials)
             ),
         )
+    if isinstance(y, Leaf) or isinstance(x, Leaf):
+        return (y if isinstance(y, Leaf) else x).apply("atan2", y, x)
     return math.atan2(y, x)
 
 

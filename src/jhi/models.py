@@ -55,6 +55,10 @@ class ModelDefinition:
     default_t0: float = 1.0
     domain_note: str = ""
     variant: str = ""
+    # (name, overrides) stamped by build_model; the integrator caches
+    # coefficients and compiled kernels under it.  dataclasses.replace
+    # resets it, so an edited model never shares a catalog entry's cache.
+    catalog_key: Optional[tuple] = field(default=None, init=False, compare=False)
 
     def default_state(self) -> ExtendedState:
         return ExtendedState(self.default_x0, self.default_t0)
@@ -540,7 +544,11 @@ def build_model(name: str, overrides: Optional[dict] = None) -> ModelDefinition:
         raise ConfigError(
             f"unknown model {name!r}; valid names: {sorted(_BUILDERS)}"
         )
-    return _BUILDERS[name](dict(overrides or {}))
+    overrides = dict(overrides or {})
+    model = _BUILDERS[name](dict(overrides))
+    key = (name, tuple(sorted((str(k), repr(v)) for k, v in overrides.items())))
+    object.__setattr__(model, "catalog_key", key)
+    return model
 
 
 def exact_flow(name: str, x0, t_final: float) -> np.ndarray:

@@ -25,6 +25,7 @@ from jhi.jacobi import (
     poisson_matrix,
     verify_jacobi_conditions,
 )
+from jhi.jacobi import _dual_jacobians, _structure_jacobians
 
 # ---------------------------------------------------------------------------
 # Inline structures (written from the closed forms, jet-friendly)
@@ -371,3 +372,26 @@ def test_fd_fallback_for_non_jet_structures():
     s = JacobiStructure(2, lam, e)
     report = verify_jacobi_conditions(s, [[1.0, 0.5], [0.3, -0.9]], tol=1e-8)
     assert report.passed
+
+
+def test_fd_fallback_reaches_numpy_only_structures():
+    # numpy ufuncs reject a Dual with TypeError, which selects differences
+    def lam(c):
+        r2 = np.cos(c[0]) ** 2 + c[1] * c[1]
+        return [[0.0, r2], [-r2, 0.0]]
+
+    s = JacobiStructure(2, lam, lambda c: [0.0, 0.0])
+    with pytest.raises(TypeError):
+        _dual_jacobians(s, [0.4, 0.7])
+    lam_fd, _, dlam, _ = _structure_jacobians(s, [0.4, 0.7])
+    assert dlam[0, 0, 1] == pytest.approx(-np.sin(0.8), rel=1e-7)
+    assert dlam[1, 0, 1] == pytest.approx(1.4, rel=1e-7)
+
+
+def test_structure_errors_other_than_type_errors_propagate():
+    def lam(c):
+        raise ZeroDivisionError("structure bug")
+
+    s = JacobiStructure(2, lam, lambda c: [0.0, 0.0])
+    with pytest.raises(ZeroDivisionError, match="structure bug"):
+        verify_jacobi_conditions(s, [[1.0, 0.5]])
