@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, sub, truediv
 from typing import Optional, Tuple
 
 import numpy as np
@@ -51,8 +52,6 @@ __all__ = [
 
 METHOD_NAMES = ("jhi1", "jhi2", "jhi3", "jhi4", "rk2", "heun", "rk4", "symplectic_euler")
 
-_EPS_CUBE_ROOT = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
 
 @dataclass(frozen=True)
 class StepConfig:
@@ -62,7 +61,6 @@ class StepConfig:
     order: int = 1
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
-    jacobian_mode: str = "dual"
 
     def __post_init__(self):
         if not (math.isfinite(self.ds) and self.ds > 0.0):
@@ -73,17 +71,18 @@ class StepConfig:
             raise ConfigError("newton_tol must be positive")
         if int(self.newton_max_iter) < 1:
             raise ConfigError("newton_max_iter must be at least 1")
-        if self.jacobian_mode not in ("dual", "finite_difference"):
-            raise ConfigError(
-                "jacobian_mode must be 'dual' or 'finite_difference'"
-            )
 
 
 @dataclass(frozen=True)
 class StepDiagnostic:
+    """One JHI step's solve: Newton iterations (the fallback), max residual,
+    shrunk last step or not, fixed-point iterations, continuation rungs."""
+
     newton_iterations: int
     residual: float
     shrunk: bool = False
+    fixed_point_iterations: int = 0
+    continuation_rungs: int = 0
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,8 @@ def _step_kernels(realization, coeffs) -> _StepKernels:
     return entry
 
 
-def _residual_vector(realization, coeffs, ds, y, target_coords) -> np.ndarray:
+def _residual_vector(realization, coeffs, ds, y, target_coords):
+    """alpha(y, xi(y)) - target and xi(y), as lists of floats."""
     m = len(y)
     kernel = _step_kernels(realization, coeffs).residual
     try:
@@ -172,77 +172,49 @@ def _residual_vector(realization, coeffs, ds, y, target_coords) -> np.ndarray:
         raise DomainViolationError(
             f"implicit solve left the realization domain: {exc}"
         ) from exc
-    out = np.array(values[:m], dtype=float)
-    if not np.all(np.isfinite(out)):
+    if not all(map(math.isfinite, values[:m])):
         raise DomainViolationError("implicit solve produced non-finite residual")
-    return out
-
-
-def _residual_jacobian(realization, coeffs, ds, y, target_coords, mode) -> np.ndarray:
-    m = len(y)
-    if mode == "dual":
-        seeded = [jets.Dual.seed(float(v), j, m) for j, v in enumerate(y)]
-        kernel = _step_kernels(realization, coeffs).residual
-        try:
-            terms = kernel.dual(
-                seeded + [*map(float, target_coords), float(ds)]
-            )[:m]
-        except _DOMAIN_FAULTS as exc:
-            raise DomainViolationError(
-                f"implicit solve left the realization domain: {exc}"
-            ) from exc
-        rows = []
-        for term in terms:
-            if isinstance(term, jets.Dual):
-                rows.append([float(p) for p in term.partials])
-            else:
-                rows.append([0.0] * m)
-        return np.array(rows)
-    jac = np.empty((m, m))
-    base = np.array([float(v) for v in y])
-    for j in range(m):
-        h = _EPS_CUBE_ROOT * max(1.0, abs(base[j]))
-        plus, minus = base.copy(), base.copy()
-        plus[j] += h
-        minus[j] -= h
-        f_plus = _residual_vector(realization, coeffs, ds, plus, target_coords)
-        f_minus = _residual_vector(realization, coeffs, ds, minus, target_coords)
-        jac[:, j] = (f_plus - f_minus) / (2.0 * h)
-    return jac
-
-
-def _newton_direction(realization, coeffs, ds, y, residual, target_coords, mode):
-    jac = _residual_jacobian(realization, coeffs, ds, y, target_coords, mode)
-    try:
-        return np.linalg.solve(jac, residual)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateStepError(f"singular Newton matrix: {exc}") from exc
+    return list(values[:m]), values[m:]
 
 
 _MAX_BACKTRACK = 60
 
 
-def _damped_update(realization, coeffs, ds, y, residual, target_coords, mode):
+def _damped_update(realization, coeffs, ds, y, residual, target_coords):
     """One Newton update, halving the increment while it exits the chart.
 
+    The Jacobian is one ``Kernel.dual`` pass over the compiled residual.
     Realizations transported through a coordinate change are only defined
     on that chart's domain (positive quadrant, punctured plane, ...); a
     coarse step can propose a full Newton move that lands outside it.
     Backtracking keeps the iterate feasible without giving up the step.
-    Returns the new iterate together with its residual.
+    Returns the new iterate with its residual and xi.
     """
-    delta = _newton_direction(realization, coeffs, ds, y, residual, target_coords, mode)
+    m = len(y)
+    seeded = [jets.Dual.seed(float(v), j, m) for j, v in enumerate(y)]
+    try:
+        terms = _step_kernels(realization, coeffs).residual.dual(
+            seeded + [*target_coords, float(ds)]
+        )[:m]
+        delta = np.linalg.solve(np.array([
+            [float(p) for p in t.partials] if isinstance(t, jets.Dual) else [0.0] * m
+            for t in terms
+        ]), residual)
+    except _DOMAIN_FAULTS as exc:
+        raise DomainViolationError(
+            f"implicit solve left the realization domain: {exc}"
+        ) from exc
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateStepError(f"singular Newton matrix: {exc}") from exc
     fraction = 1.0
     for _ in range(_MAX_BACKTRACK):
         trial = y - fraction * delta
         try:
-            trial_residual = _residual_vector(
-                realization, coeffs, ds, trial, target_coords
-            )
+            r, xi = _residual_vector(realization, coeffs, ds, trial, target_coords)
         except DomainViolationError:
             fraction *= 0.5
             continue
-        return trial, trial_residual
+        return trial, np.array(r), xi
     raise DomainViolationError(
         "Newton backtracking could not re-enter the realization domain"
     )
@@ -252,21 +224,17 @@ def _initial_guess(realization, coeffs, ds, target_coords, predictor_shift):
     """First feasible iterate: predictor shift, damped shifts, then target.
 
     The implicit unknown sits roughly half a step ahead of the target, so
-    an Euler half-step predictor usually lands inside the chart domain
-    even when the target itself does not evaluate under the full-step
-    covector.
+    a predicted shift usually lands inside the chart domain even when the
+    target itself does not evaluate under the full-step covector.
+    Returns the iterate with its residual and xi.
     """
-    candidates = []
-    if predictor_shift is not None:
-        fraction = 1.0
-        for _ in range(4):
-            candidates.append(target_coords + fraction * predictor_shift)
-            fraction *= 0.5
-    candidates.append(target_coords.copy())
     failure = None
-    for y in candidates:
+    for f in (None,) if predictor_shift is None else (1.0, 0.5, 0.25, 0.125, None):
+        y = list(target_coords) if f is None else [
+            a + f * b for a, b in zip(target_coords, predictor_shift)
+        ]
         try:
-            return y, _residual_vector(realization, coeffs, ds, y, target_coords)
+            return (y, *_residual_vector(realization, coeffs, ds, y, target_coords))
         except DomainViolationError as exc:
             failure = exc
     raise DomainViolationError(
@@ -274,65 +242,99 @@ def _initial_guess(realization, coeffs, ds, target_coords, predictor_shift):
     ) from failure
 
 
-def _solve_step_equation(
-    realization: BiRealization,
-    coeffs: GeneratingCoefficients,
-    cfg: StepConfig,
-    target: ExtendedState,
-    ds: float,
-    predictor_shift=None,
-):
-    """Newton iteration for alpha(y, xi(y)) = target.
+class _SolveLog:
+    """Iterations of a step's solves, continuation rungs, root and xi(root)."""
 
-    Componentwise acceptance |r_i| <= tol*(1+|target_i|), then up to two
-    polish iterations while they keep lowering the normalized residual
-    (small components such as pass-through Casimir slots retain relative
-    accuracy this way).  Returns (y, iterations, max residual).
+    fixed_point = newton = rungs = 0
+    root = xi = None
+
+
+def _fixed_point(kernel, y, r, xi, tail, scale, cap):
+    """y <- y - r(y) in floats while it contracts, then polish.
+
+    Each iterate must lower max |r_i| / scale_i.  The iteration stops
+    there, where max |r_i| falls by less than half (after the first
+    iteration), at a domain fault or non-finite residual, or after
+    ``cap`` iterations, with y the best iterate so far.  Returns
+    (y, r, xi, iterations, accepted).
     """
-    target_coords = np.asarray(target.coords())
+    m = len(y)
+    level = max(map(truediv, map(abs, r), scale))
+    size = max(map(abs, r))
+    iterations = 0
+    while iterations < cap and level:
+        trial = list(map(sub, y, r))
+        try:
+            values = kernel(trial + tail)
+        except _DOMAIN_FAULTS:
+            break
+        r_next = values[:m]
+        if not all(map(math.isfinite, r_next)):
+            break
+        mags = list(map(abs, r_next))
+        level_next = max(map(truediv, mags, scale))
+        if level_next >= level:
+            break  # polish done, or no progress: keep y
+        stalled = iterations and max(mags) > 0.5 * size
+        y, r, xi, level, size = trial, r_next, values[m:], level_next, max(mags)
+        iterations += 1
+        if stalled and level > 1.0:
+            break
+    return y, r, xi, iterations, level <= 1.0
+
+
+def _solve_step_equation(realization, coeffs, cfg, target, ds, predictor_shift=None,
+                         log=None):
+    """Solve alpha(y, xi(y)) = target for y.
+
+    The residual's Jacobian is I + O(ds), so y <- y - r(y) contracts at
+    O(ds) for one compiled residual per iteration (Hairer-Lubich-Wanner,
+    *GNI* VIII.6).  It runs first, to componentwise acceptance
+    |r_i| <= tol*(1+|target_i|) and on while the normalized residual falls
+    (pass-through Casimir slots and other small components keep relative
+    accuracy this way).  Where it stops short, damped Newton takes over,
+    with up to two polish iterations; each phase runs at most
+    ``newton_max_iter`` iterations.  Returns (y, Newton iterations, max
+    residual); ``log`` adds up both phases' iterations, keeps y and xi(y).
+    """
+    target_coords = target.coords()
     if ds == 0.0:
         return target, 0, 0.0
-    scale = cfg.newton_tol * (1.0 + np.abs(target_coords))
-    y, residual = _initial_guess(
-        realization, coeffs, ds, target_coords, predictor_shift
+    cap = cfg.newton_max_iter
+    scale = [cfg.newton_tol * (1.0 + abs(v)) for v in target_coords]
+    y, r, xi = _initial_guess(realization, coeffs, ds, target_coords, predictor_shift)
+    kernel = _step_kernels(realization, coeffs).residual
+    y, r, xi, fixed, accepted = _fixed_point(
+        kernel, y, r, xi, [*target_coords, float(ds)], scale, cap
     )
-    iterations = 0
-    while np.any(np.abs(residual) > scale):
-        if iterations >= cfg.newton_max_iter:
-            raise NewtonDivergenceError(
-                "implicit step did not converge in "
-                f"{cfg.newton_max_iter} iterations",
-                residual=float(np.max(np.abs(residual))),
-            )
-        y, residual = _damped_update(
-            realization, coeffs, ds, y, residual, target_coords, cfg.jacobian_mode
-        )
-        iterations += 1
-    for _ in range(2):
-        if iterations >= cfg.newton_max_iter:
-            break
-        level = float(np.max(np.abs(residual) / scale))
-        if level == 0.0:
-            break
-        try:
-            y_next, residual_next = _damped_update(
-                realization,
-                coeffs,
-                ds,
-                y,
-                residual,
-                target_coords,
-                cfg.jacobian_mode,
-            )
-        except StepError:
-            break
-        if float(np.max(np.abs(residual_next) / scale)) < level:
-            y, residual = y_next, residual_next
-            iterations += 1
-        else:
-            break
-    state = ExtendedState(tuple(y[:-1]), float(y[-1]))
-    return state, iterations, float(np.max(np.abs(residual)))
+    newton = 0
+    if not accepted:
+        y, r, scale = np.array(y), np.array(r), np.array(scale)
+        level, polish = float(np.max(np.abs(r) / scale)), 0
+        while level > 1.0 or (newton < cap and level and polish < 2):
+            if newton >= cap:
+                raise NewtonDivergenceError(
+                    f"implicit step did not converge in {cap} iterations",
+                    residual=float(np.max(np.abs(r))),
+                )
+            polish = 0 if level > 1.0 else polish + 1
+            try:
+                update = _damped_update(realization, coeffs, ds, y, r, target_coords)
+            except StepError:
+                if polish:
+                    break
+                raise
+            level_next = float(np.max(np.abs(update[1]) / scale))
+            if polish and level_next >= level:
+                break
+            (y, r, xi), level = update, level_next
+            newton += 1
+        y, r = y.tolist(), r.tolist()
+    if log is not None:
+        log.fixed_point += fixed
+        log.newton += newton
+        log.root, log.xi = y, xi
+    return ExtendedState.from_coords(y), newton, max(map(abs, r))
 
 
 def solve_implicit(
@@ -347,14 +349,13 @@ def solve_implicit(
 
 
 def _predictor_shift(rhs, s_n, ds):
-    if rhs is None:
-        return None
+    """Euler half step 0.5 ds X(s_n), or None where the field fails."""
     try:
         increment = np.asarray(rhs(np.asarray(s_n.coords())), dtype=float)
     except _DOMAIN_FAULTS:
         return None
     shift = 0.5 * ds * increment
-    return shift if np.all(np.isfinite(shift)) else None
+    return shift.tolist() if np.all(np.isfinite(shift)) else None
 
 
 _CONTINUATION_LADDERS = (4, 8, 16, 32)
@@ -366,48 +367,37 @@ def _solve_robust(realization, coeffs, cfg, target, ds, predictor_shift):
     A coarse step can put every explicit starting guess outside the chart
     domain even though the root itself is feasible.  Re-solving the same
     equation for a ladder of intermediate step sizes, warm-starting each
-    solve from the previous root, walks Newton to the full-step root
-    without altering the discrete map.
+    solve from the previous root, walks the solver to the full-step root
+    without altering the discrete map.  Returns (y, max residual, log).
     """
-    try:
-        return _solve_step_equation(
-            realization, coeffs, cfg, target, ds, predictor_shift
-        )
-    except (DomainViolationError, NewtonDivergenceError) as exc:
-        first_failure = exc
-    target_coords = np.asarray(target.coords())
-    for rungs in _CONTINUATION_LADDERS:
+    target_coords = target.coords()
+    first_failure = None
+    for rungs in (1,) + _CONTINUATION_LADDERS:
         shift = predictor_shift
-        total_iterations = 0
+        log = _SolveLog()
         try:
             for j in range(1, rungs + 1):
-                state, iterations, residual = _solve_step_equation(
-                    realization, coeffs, cfg, target, ds * j / rungs, shift
+                state, _, residual = _solve_step_equation(
+                    realization, coeffs, cfg, target, ds * j / rungs, shift, log
                 )
-                total_iterations += iterations
-                shift = np.asarray(state.coords()) - target_coords
-            return state, total_iterations, residual
-        except (DomainViolationError, NewtonDivergenceError):
-            continue
+                shift = list(map(sub, log.root, target_coords))
+            log.rungs = rungs if rungs > 1 else 0
+            return state, residual, log
+        except (DomainViolationError, NewtonDivergenceError) as exc:
+            first_failure = first_failure or exc
     raise first_failure
 
 
-def _jhi_advance(realization, coeffs, cfg, s_n, ds, rhs=None):
-    y, iterations, residual = _solve_robust(
-        realization, coeffs, cfg, s_n, ds,
-        _predictor_shift(rhs, s_n, ds),
-    )
-    kernels = _step_kernels(realization, coeffs)
-    coords = y.coords()
-    m = len(coords)
-    xi = kernels.residual([*coords, *s_n.coords(), float(ds)])[m:]
+def _jhi_advance(realization, coeffs, cfg, s_n, ds, shift):
+    """One step from s_n, solving from s_n + shift: (state, residual, log)."""
+    y, residual, log = _solve_robust(realization, coeffs, cfg, s_n, ds, shift)
+    xi = log.xi
     if not all(map(math.isfinite, xi)):
         raise EvaluationError("non-finite step covector")
-    data = CotangentData(y, xi[:-1], xi[-1])
-    if not realization.domain_ok(data):
+    if not realization.domain_ok(CotangentData(y, xi[:-1], xi[-1])):
         raise DomainViolationError("step covector left the realization domain")
-    image = kernels.beta([*coords, *xi])
-    return ExtendedState.from_coords(image), iterations, residual
+    image = _step_kernels(realization, coeffs).beta([*log.root, *xi])
+    return ExtendedState.from_coords(image), residual, log
 
 
 def jhi_step(
@@ -428,7 +418,8 @@ def jhi_step(
         return s_n
     try:
         state, _, _ = _jhi_advance(
-            realization, coeffs, cfg, s_n, step_ds, rhs=_lifted_rhs(model)
+            realization, coeffs, cfg, s_n, step_ds,
+            _predictor_shift(_lifted_rhs(model), s_n, step_ds),
         )
     except StepError:
         raise
@@ -587,7 +578,6 @@ def integrate(
     *,
     newton_tol: float = 1e-12,
     newton_max_iter: int = 50,
-    jacobian_mode: str = "dual",
 ) -> Trajectory:
     """Integrate the model over t_span with fixed step ds.
 
@@ -612,7 +602,6 @@ def integrate(
         order=order if order is not None else 1,
         newton_tol=newton_tol,
         newton_max_iter=newton_max_iter,
-        jacobian_mode=jacobian_mode,
     )
     sizes = _plan_steps(t_b - t_a, cfg.ds)
 
@@ -625,10 +614,14 @@ def integrate(
         diagnostics = []
         current = s0
         rhs = _lifted_rhs(model)
+        offset = previous = None
         for index, h in enumerate(sizes):
+            x_n = current.coords()
+            if offset is None or h != cfg.ds:
+                offset = _predictor_shift(rhs, current, h)
             try:
-                current, iterations, residual = _jhi_advance(
-                    realization, coeffs, cfg, current, h, rhs=rhs
+                current, residual, log = _jhi_advance(
+                    realization, coeffs, cfg, current, h, offset
                 )
             except JhiError as exc:
                 partial = Trajectory(
@@ -640,11 +633,18 @@ def integrate(
                     index,
                     cause=exc,
                 ) from exc
-            diagnostics.append(
-                StepDiagnostic(iterations, residual, shrunk=h != cfg.ds)
-            )
+            diagnostics.append(StepDiagnostic(
+                log.newton, residual, h != cfg.ds, log.fixed_point, log.rungs
+            ))
             times.append(t_b if index == len(sizes) - 1 else t_a + (index + 1) * h)
             states.append(current)
+            # next start: x + 2(y_n - x_n) - (y_n-1 - x_n-1), an O(ds^3) guess;
+            # the Euler half step at first, after a continuation or shrunk step
+            latest = None if log.rungs else list(map(sub, log.root, x_n))
+            offset = latest if latest is None or previous is None else list(
+                map(sub, map(add, latest, latest), previous)
+            )
+            previous = latest
         return Trajectory(tuple(times), tuple(states), label, tuple(diagnostics))
 
     stepper = _BASELINE_STEPPERS[kind]
