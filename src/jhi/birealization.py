@@ -50,6 +50,12 @@ class BiRealization:
 
     alpha_kernel(coords, xi) -> coords works on tuples of floats or jet
     scalars; the typed alpha/beta below wrap it for state containers.
+
+    ``kind`` "exact" or "transported" declares that the bi-realization
+    law ({alpha^i, alpha^j} = Pi^ij(alpha), {beta^i, beta^j} =
+    -Pi^ij(beta), {alpha^i, beta^j} = 0) holds exactly; generating.py
+    flags S_4 as identically zero on that declaration.
+    "first_order_approximate" satisfies it to first order in xi only.
     """
 
     size: int

@@ -30,6 +30,7 @@ from .errors import ConfigError, IntegrationFailure, JhiError
 from .integrator import (
     METHOD_NAMES,
     Trajectory,
+    coefficient_report,
     integrate,
     kernel_reports,
     reference_solution,
@@ -141,6 +142,9 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig, model,
         # compiled kernels behind the run: op count, source hash, trace ms
         "kernels": kernel_reports(model, config.method),
     }
+    coefficients = coefficient_report(model, config.method)
+    if coefficients is not None:
+        manifest["coefficients"] = coefficients
     if failure is not None:
         manifest["failure"] = failure
     path = outdir / "run_manifest.json"

@@ -116,6 +116,42 @@ def _is_identically_zero(field, h_lifted, sample_points, tol: float) -> bool:
     return True
 
 
+def _zero_by_theory(realization: BiRealization, index: int) -> bool:
+    """Whether a recursion-built S_index vanishes identically by theory.
+
+    With A = d alpha / d xi at xi = 0 antisymmetric (the linear term of
+    alpha is -(1/2) Pi xi), S_2 = (1/2) grad S_1 . A grad S_1 = 0 on
+    every realization.  S_4 vanishes too where the bi-realization law
+    holds exactly, which the kinds "exact" and "transported" declare;
+    reflection alone (beta(xi) = alpha(-xi)) does not make it vanish.
+    """
+    return index == 2 or (index == 4 and realization.kind in ("exact", "transported"))
+
+
+def _linear_term_is_antisymmetric(realization: BiRealization, point, tol: float) -> bool:
+    """Premise of the theory flags: A + A^T = 0 at one point, where
+    A = d alpha / d xi at xi = 0, from one dual pass over alpha_kernel."""
+    coords = tuple(float(v) for v in point)
+    m = len(coords)
+    xi = tuple(jets.Dual.seed(0.0, j, m) for j in range(m))
+    try:
+        image = realization.alpha_kernel(coords, xi)
+    except TypeError as exc:
+        raise CapabilityError(
+            "realization is not jet-evaluable; supply closed-form coefficients"
+        ) from exc
+    rows = [
+        [float(p) for p in v.partials] if isinstance(v, jets.Dual) else [0.0] * m
+        for v in image
+    ]
+    scale = max(abs(p) for row in rows for p in row)
+    return all(
+        abs(rows[i][j] + rows[j][i]) <= tol * (1.0 + scale)
+        for i in range(m)
+        for j in range(i, m)
+    )
+
+
 def compute_coefficients(
     h_lifted: Callable,
     realization: BiRealization,
@@ -127,9 +163,13 @@ def compute_coefficients(
     """Build S_1..S_k; closed-form overrides win over the recursion.
 
     overrides maps the coefficient index i (2-based in practice) to a
-    scalar field; sample_points feeds the identically-zero sweep and
-    defaults to a seeded cloud in the positive unit box, which lies in the
-    domain of every catalog realization.
+    scalar field.  Recursion-built S_2, and S_4 on exact and transported
+    realizations, are flagged zero by theory once the realization's
+    linear term passes the antisymmetry check at the first sample point;
+    every other coefficient, and all of them on a realization that fails
+    the check, go through the identically-zero sweep.  sample_points
+    defaults to a seeded cloud in the positive unit box, which lies in
+    the domain of every catalog realization.
     """
     if k < 1:
         raise ConfigError("coefficient order must be at least 1")
@@ -140,14 +180,24 @@ def compute_coefficients(
     fields = [h_lifted]
     provenance = ["closed_form"]
     zero_flags = [False]
+    premise = None  # the antisymmetry check, run once if theory is asked
     for i in range(1, k):
+        zero = False
         if (i + 1) in overrides:
             field = overrides[i + 1]
             provenance.append("closed_form")
         else:
             field = _recursion_field(h_lifted, realization, tuple(fields), i)
             provenance.append("recursion")
-        zero_flags.append(_is_identically_zero(field, h_lifted, sample_points, zero_tol))
+            if _zero_by_theory(realization, i + 1):
+                if premise is None:
+                    premise = _linear_term_is_antisymmetric(
+                        realization, sample_points[0], zero_tol
+                    )
+                zero = premise
+        if not zero:
+            zero = _is_identically_zero(field, h_lifted, sample_points, zero_tol)
+        zero_flags.append(zero)
         fields.append(field)
     return GeneratingCoefficients(
         k, tuple(fields), tuple(provenance), tuple(zero_flags)

@@ -47,6 +47,7 @@ __all__ = [
     "solve_implicit",
     "integrate",
     "kernel_reports",
+    "coefficient_report",
     "reference_solution",
 ]
 
@@ -521,6 +522,8 @@ def _cached(model, slot, build):
 
 
 def _build_scheme(model, order):
+    """(realization, S_1..S_order): the model's closed forms up to order,
+    the recursion for the rest."""
     overrides = {i: f for i, f in (model.s_overrides or {}).items() if i <= order}
     coeffs = compute_coefficients(
         lifted_hamiltonian_field(model.hamiltonian),
@@ -531,18 +534,38 @@ def _build_scheme(model, order):
     return model.realization, coeffs
 
 
+def _run_scheme(model, method: str):
+    """(realization, coefficients) this process cached for a JHI run of
+    ``method`` on a catalog model, or None."""
+    kind, order = _parse_method(method)
+    key = getattr(model, "catalog_key", None)
+    return _CACHE.get((key, order)) if kind == "jhi" else None
+
+
 def kernel_reports(model, method: str):
     """Manifest entries of the kernels this process compiled for a run of
     ``method`` on a catalog model: op count, emitted-source hash, trace ms."""
-    key = getattr(model, "catalog_key", None)
-    kind, order = _parse_method(method)
-    kernels = [_CACHE.get((key, "field"))]
-    scheme = _CACHE.get((key, order)) if kind == "jhi" else None
+    kernels = [_CACHE.get((getattr(model, "catalog_key", None), "field"))]
+    scheme = _run_scheme(model, method)
     if scheme is not None:
         step = scheme[1].kernels.get(id(scheme[0]))
         if step is not None:
             kernels += [step.residual, step.beta]
     return [k.report() for k in kernels if k is not None and k.traced]
+
+
+def coefficient_report(model, method: str):
+    """Manifest entry of the coefficients this process built for a JHI run
+    of a catalog model: order, provenance and zero flags (None otherwise)."""
+    scheme = _run_scheme(model, method)
+    if scheme is None:
+        return None
+    coeffs = scheme[1]
+    return {
+        "order": coeffs.order,
+        "provenance": list(coeffs.provenance),
+        "zero_flags": list(coeffs.zero_flags),
+    }
 
 
 def _plan_steps(width: float, ds: float):

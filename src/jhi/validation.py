@@ -27,6 +27,7 @@ from .errors import ConfigError, JhiError
 from .generating import compute_coefficients, homogeneity_defect
 from .integrator import (
     StepConfig,
+    _build_scheme,
     integrate,
     jhi_step,
     reference_solution,
@@ -61,18 +62,6 @@ class CriterionResult:
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
-
-
-def _recursion_coefficients(model, order: int):
-    overrides = {
-        i: f for i, f in (model.s_overrides or {}).items() if i <= order
-    }
-    return compute_coefficients(
-        lifted_hamiltonian_field(model.hamiltonian),
-        model.realization,
-        order,
-        overrides=overrides or None,
-    )
 
 
 def _tail_orders(rows, count: int = 3) -> Tuple[float, ...]:
@@ -146,7 +135,7 @@ def check_exact_quadratic(
     target = exact_flow("jacobi2d", start.x, math.pi)
     terminal = float(np.max(np.abs(np.asarray(traj.states[-1].x) - target)))
 
-    coeffs = _recursion_coefficients(model, 2)
+    coeffs = _build_scheme(model, 2)[1]
     rng = np.random.default_rng(seed)
     worst_s2 = 0.0
     for _ in range(samples):
@@ -488,7 +477,7 @@ def _property_realization_laws(model, rng, cases: int) -> Tuple[int, float]:
 
 
 def _property_coefficient_homogeneity(model, rng, cases: int) -> Tuple[int, float]:
-    coeffs = _recursion_coefficients(model, 3)
+    coeffs = _build_scheme(model, 3)[1]
     worst = 0.0
     for _ in range(cases):
         state = model.sample_state(rng)
@@ -513,8 +502,6 @@ def _property_lifted_conservation(model, rng, cases: int) -> Tuple[int, float]:
 def _property_structure_conditions(model, rng, cases: int) -> Tuple[int, float]:
     points = [model.sample_state(rng).x for _ in range(cases)]
     report = verify_jacobi_conditions(model.structure, points, tol=1e-8)
-    if not report.passed:
-        return cases, report.max_residual
     return cases, report.max_residual
 
 
@@ -524,7 +511,7 @@ def _property_step_reversal(model, rng, cases: int) -> Tuple[int, float]:
     checked = 0
     per_order = (cases + 1) // 2
     for order in (1, 3):
-        coeffs = _recursion_coefficients(model, order)
+        coeffs = _build_scheme(model, order)[1]
         done = 0
         attempts = 0
         while done < per_order and attempts < 50 * per_order:
@@ -550,7 +537,7 @@ def _property_step_reversal(model, rng, cases: int) -> Tuple[int, float]:
 
 def _property_map_homogeneity(model, rng, cases: int) -> Tuple[int, float]:
     cfg = StepConfig(ds=0.05)
-    coeffs = _recursion_coefficients(model, 1)
+    coeffs = _build_scheme(model, 1)[1]
     worst = 0.0
     checked = 0
     attempts = 0

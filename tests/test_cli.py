@@ -213,6 +213,23 @@ def test_param_flag_parses_numbers_and_names(tmp_path):
     ]) == 2
 
 
+def test_manifest_reports_coefficients(tmp_path):
+    argv = [
+        "simulate", "--model", "jacobi2d", "--param", "hamiltonian=cossin",
+        "--span", "0", "0.02", "--ds", "0.02",
+    ]
+    assert main(argv + ["--method", "jhi4", "--out", str(tmp_path / "jhi4")]) == 0
+    manifest = json.loads((tmp_path / "jhi4" / "run_manifest.json").read_text())
+    assert manifest["coefficients"] == {
+        "order": 4,
+        "provenance": ["closed_form", "recursion", "recursion", "recursion"],
+        "zero_flags": [False, True, False, True],
+    }
+    assert main(argv + ["--method", "rk4", "--out", str(tmp_path / "rk4")]) == 0
+    manifest = json.loads((tmp_path / "rk4" / "run_manifest.json").read_text())
+    assert "coefficients" not in manifest
+
+
 def test_list_models_catalog(capsys):
     assert main(["list-models"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

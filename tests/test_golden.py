@@ -3,9 +3,11 @@
 ``tests/golden_metrics.json`` holds every ``CriterionResult.metrics``
 value (criterion 2 included, as measured), the SHA-256 of each CSV that
 a fixed set of CLI configurations writes, the numbers in the CSVs of the
-configurations that run a JHI method, and the solver's iteration counts
-on one of those runs (``costs``; they do not depend on host speed, and
-a change that moves them regenerates the record and reports the move).
+configurations that run a JHI method, the solver's iteration counts
+on one of those runs, and the op counts of the lifted-field, residual
+and beta kernels of every catalog model and method jhi1..jhi4 (``costs``;
+they do not depend on host speed, are compared exactly, and a change
+that moves them regenerates the record and reports the move).
 New metrics are allowed; missing ones fail.
 
 Two tiers:
@@ -33,8 +35,8 @@ from pathlib import Path
 import pytest
 
 from jhi.cli import main
-from jhi.integrator import integrate
-from jhi.models import build_model
+from jhi.integrator import integrate, kernel_reports
+from jhi.models import build_model, model_names
 
 GOLDEN = Path(__file__).with_name("golden_metrics.json")
 
@@ -123,6 +125,29 @@ def solver_counts(name):
     }
 
 
+# Catalog models whose compiled kernels' op counts are recorded, per
+# method jhi1..jhi4: label -> (model, parameter overrides).
+CATALOG = {name: (name, None) for name in model_names()}
+CATALOG["jacobi2d_cossin"] = ("jacobi2d", {"hamiltonian": "cossin"})
+
+
+def kernel_ops():
+    """{label: {method: {kernel name: op count}}} of the lifted-field,
+    residual and beta kernels, traced by one step from the default state."""
+    record = {}
+    for label, (name, params) in sorted(CATALOG.items()):
+        model = build_model(name, params)
+        record[label] = {}
+        for order in range(1, 5):
+            method = f"jhi{order}"
+            integrate(model, method, (0.0, 0.01), 0.01)
+            record[label][method] = {
+                entry["name"]: entry.get("ops")
+                for entry in kernel_reports(model, method)
+            }
+    return record
+
+
 def _runs_solver(name):
     return "-jhi" in name
 
@@ -179,6 +204,10 @@ def test_solver_counts_match_golden(name):
     assert solver_counts(name) == _golden()["costs"][name]
 
 
+def test_kernel_op_counts_match_golden():
+    assert kernel_ops() == _golden()["costs"]["kernel_ops"]
+
+
 def _write(tmp):
     from conftest import CRITERIA
 
@@ -190,6 +219,7 @@ def _write(tmp):
         name: csv_lines(tmp / name) for name in sorted(CONFIGS) if _runs_solver(name)
     }
     costs = {name: solver_counts(name) for name in sorted(COUNTED)}
+    costs["kernel_ops"] = kernel_ops()
     record = {"criteria": criteria, "csv": csv, "csv_values": values, "costs": costs}
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n")
 

@@ -123,15 +123,18 @@ def test_solve_reproduces_target_within_tolerance():
 
 
 def test_contact_solve_iteration_count_is_small():
-    # regression bound: from the identity initial guess the solve needs
-    # very few iterations at the run step sizes (measured 3 at ds = 0.1)
+    # regression bound: from the identity initial guess the fixed-point
+    # iteration alone solves the step at ds = 0.1 (measured 12 iterations,
+    # polish included); the bound leaves a third on top of that
     model = build_model("contact")
     coeffs = coefficients_for(model, 1)
     cfg = StepConfig(ds=0.1)
-    _, iterations, _ = _solve_step_equation(
-        model.realization, coeffs, cfg, model.default_state(), cfg.ds
+    log = _SolveLog()
+    _solve_step_equation(
+        model.realization, coeffs, cfg, model.default_state(), cfg.ds, log=log
     )
-    assert iterations <= 6
+    assert log.newton == 0
+    assert 1 <= log.fixed_point <= 16
 
 
 def accepted_on_jets_path(model, coeffs, ds, y, target, tol):
