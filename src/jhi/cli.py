@@ -31,8 +31,8 @@ from .integrator import (
     METHOD_NAMES,
     Trajectory,
     coefficient_report,
+    compiled_kernels,
     integrate,
-    kernel_reports,
     reference_solution,
 )
 from .jacobi import ExtendedState
@@ -93,9 +93,8 @@ def _fmt(value: float) -> str:
 
 def write_trajectory_csv(path: Path, traj: Trajectory, coord_names) -> None:
     lines = ["time," + ",".join(coord_names) + ",t"]
-    for time, state in zip(traj.times, traj.states):
-        fields = [_fmt(time)] + [_fmt(v) for v in state.x] + [_fmt(state.t)]
-        lines.append(",".join(fields))
+    for time, row in zip(traj.times, traj.extended_matrix().tolist()):
+        lines.append(",".join(map(_fmt, (time, *row))))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -140,7 +139,7 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig, model,
         "outputs": [p.name for p in written],
         "status": status,
         # compiled kernels behind the run: op count, source hash, trace ms
-        "kernels": kernel_reports(model, config.method),
+        "kernels": [k.report() for k in compiled_kernels(model, config.method)],
     }
     coefficients = coefficient_report(model, config.method)
     if coefficients is not None:
@@ -325,6 +324,21 @@ def _cmd_drift(args) -> int:
     return 0
 
 
+def _cmd_kernels(args) -> int:
+    RunConfig(model=args.model, method=args.method).validate()
+    model = build_model(args.model)
+    integrate(model, args.method, (0.0, 0.01), 0.01)  # one step traces them
+    for kernel in compiled_kernels(model, args.method):
+        report = kernel.report()
+        if not report["compiled"]:
+            print(f"# kernel {kernel.name}: not compiled, runs the jets code\n")
+            continue
+        print(f"# kernel {kernel.name}: {report['ops']} ops, "
+              f"source sha256 {report['source_sha256']}")
+        print(kernel.source())
+    return 0
+
+
 def _cmd_list_models(args) -> int:
     for name in model_names():
         model = build_model(name)
@@ -379,6 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_run_flags(drift)
     drift.set_defaults(handler=_cmd_drift)
+
+    kernels = commands.add_parser(
+        "kernels",
+        help="print the kernels a run of a method compiles: op count, "
+        "source hash and emitted source",
+    )
+    kernels.add_argument("--model", required=True, help="model name")
+    kernels.add_argument("--method", required=True, help="integration method")
+    kernels.set_defaults(handler=_cmd_kernels)
 
     listing = commands.add_parser("list-models", help="show the model catalog")
     listing.set_defaults(handler=_cmd_list_models)

@@ -375,7 +375,7 @@ class Kernel:
 
     __slots__ = (
         "name", "fn", "_float", "_dual", "fallback", "ops", "source_sha256",
-        "trace_ms",
+        "trace_ms", "_point",
     )
 
     def __init__(self, name, fn):
@@ -387,6 +387,7 @@ class Kernel:
         self.ops = None
         self.source_sha256 = None
         self.trace_ms = None
+        self._point = None
 
     def __call__(self, inputs):
         if self._float is not None:
@@ -400,20 +401,23 @@ class Kernel:
             return self._dual(inputs)
         return tuple(self.fn(inputs))
 
-    def _trace(self, inputs):
-        start = time.perf_counter()
+    def _record(self, inputs):
+        """(ops, output refs) of one run of fn on recording scalars."""
         graph = _Graph()
         recorded = [graph.node("in", i, None, float(v)) for i, v in enumerate(inputs)]
+        outs = [_ref(v) for v in self.fn(recorded)]
+        if None in outs:
+            raise TraceAbort("kernel output is not a scalar")
+        return graph.ops, outs  # the graph and its memo are freed before emission
+
+    def _trace(self, inputs):
+        start = time.perf_counter()
         try:
-            outs = [_ref(v) for v in self.fn(recorded)]
-            if None in outs:
-                raise TraceAbort("kernel output is not a scalar")
+            ops, outs = self._record(inputs)
         except (TraceAbort, TypeError, CapabilityError):
             # jets-incompatible code; fn itself raises any genuine error
             self.fallback = True
             return tuple(self.fn(inputs))
-        ops = graph.ops
-        del graph, recorded  # frees the memo before emission
         self.ops, pieces = _emit(ops, len(inputs), outs)
         float_ns, dual_ns = dict(_FLOAT_ENV), dict(_JET_ENV)
         digest = hashlib.sha256()
@@ -424,9 +428,18 @@ class Kernel:
             digest.update(piece.encode())
         self._float = float_ns["kernel"]
         self._dual = dual_ns["kernel"]
+        self._point = tuple(float(v) for v in inputs)
         self.source_sha256 = digest.hexdigest()
         self.trace_ms = 1e3 * (time.perf_counter() - start)
         return self._float(inputs)
+
+    def source(self):
+        """The emitted Python source, traced again at the first call's
+        inputs; None before that call or after a fallback."""
+        if self._point is None:
+            return None
+        ops, outs = self._record(self._point)
+        return "".join(_emit(ops, len(self._point), outs)[1])
 
     @property
     def traced(self):

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .integrator import Trajectory, integrate, reference_solution
-from .jacobi import lifted_hamiltonian
 
 __all__ = [
     "OrderStudyRow",
@@ -259,11 +258,9 @@ def hamiltonian_drift(traj: Trajectory, model) -> DriftSeries:
     """
     if len(traj) == 0:
         raise ConfigError("empty trajectory")
-    h0 = lifted_hamiltonian(model.hamiltonian, traj.states[0])
-    values = tuple(
-        (h0 - lifted_hamiltonian(model.hamiltonian, s)) / s.t
-        for s in traj.states
-    )
+    rows = traj.extended_matrix().tolist()
+    lifted = [row[-1] * model.hamiltonian.value(row[:-1]) for row in rows]
+    values = tuple((lifted[0] - h) / row[-1] for h, row in zip(lifted, rows))
     return DriftSeries(traj.times, values, label=f"hamiltonian:{traj.method_label}")
 
 
@@ -271,6 +268,6 @@ def casimir_drift(traj: Trajectory, casimir) -> DriftSeries:
     """Per-sample deviation C(s_n) - C(s_0) of a Casimir field."""
     if len(traj) == 0:
         raise ConfigError("empty trajectory")
-    c0 = float(casimir(traj.states[0].coords()))
-    values = tuple(float(casimir(s.coords())) - c0 for s in traj.states)
+    c = [float(casimir(tuple(row))) for row in traj.extended_matrix().tolist()]
+    values = tuple(v - c[0] for v in c)
     return DriftSeries(traj.times, values, label=f"casimir:{traj.method_label}")

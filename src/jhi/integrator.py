@@ -11,8 +11,10 @@ order studies and drift comparisons.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from operator import add, sub, truediv
+from functools import partial
+from operator import add, le, sub, truediv
 from typing import Optional, Tuple
 
 import numpy as np
@@ -25,18 +27,18 @@ from .errors import (
     DomainViolationError,
     EvaluationError,
     IntegrationFailure,
+    InvalidScaleError,
     JhiError,
     NewtonDivergenceError,
     StepError,
 )
 from .generating import GeneratingCoefficients, compute_coefficients
 from .jacobi import (
-    CotangentData,
     ExtendedState,
     lifted_field_from_parts,
     lifted_field_parts,
     lifted_hamiltonian_field,
-    lifted_vector_field,
+    lifted_vector_field,  # noqa: F401 - perfbench/spans.py wraps it here
 )
 
 __all__ = [
@@ -44,9 +46,8 @@ __all__ = [
     "StepDiagnostic",
     "Trajectory",
     "jhi_step",
-    "solve_implicit",
     "integrate",
-    "kernel_reports",
+    "compiled_kernels",
     "coefficient_report",
     "reference_solution",
 ]
@@ -86,30 +87,69 @@ class StepDiagnostic:
     continuation_rungs: int = 0
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """Discrete orbit: sample times plus extended states."""
+    """Discrete orbit: sample times plus extended states.
 
-    times: Tuple[float, ...]
-    states: Tuple[ExtendedState, ...]
-    method_label: str
-    per_step_diagnostics: Optional[Tuple[StepDiagnostic, ...]] = None
+    The states are kept as one read-only (samples, dim + 1) array of
+    coordinates, t last; ``states`` builds the ``ExtendedState`` tuple on
+    first access.
+    """
 
-    def __post_init__(self):
-        if len(self.times) != len(self.states):
+    __slots__ = ("times", "method_label", "per_step_diagnostics", "_coords", "_states")
+
+    def __init__(self, times, states, method_label, per_step_diagnostics=None):
+        self._states = tuple(states)
+        rows = [s.coords() for s in self._states]
+        coords = np.array(rows) if rows else np.empty((0, 0))
+        self._set(times, coords, method_label, per_step_diagnostics)
+
+    @classmethod
+    def _from_rows(cls, times, flat, width, method_label, per_step_diagnostics=None):
+        """A trajectory over the rows in the array('d') ``flat``, ``width``
+        values each, back to back; the array shares flat's memory."""
+        traj = cls.__new__(cls)
+        traj._states = None
+        coords = np.frombuffer(flat).reshape(-1, width)
+        traj._set(times, coords, method_label, per_step_diagnostics)
+        return traj
+
+    def _set(self, times, coords, method_label, per_step_diagnostics):
+        self.times = tuple(times)
+        if len(self.times) != len(coords):
             raise ConfigError("times and states lengths differ")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if any(map(le, self.times[1:], self.times)):
             raise ConfigError("trajectory times must increase strictly")
+        coords.flags.writeable = False
+        self._coords = coords
+        self.method_label = method_label
+        self.per_step_diagnostics = per_step_diagnostics
+
+    @property
+    def states(self) -> Tuple[ExtendedState, ...]:
+        """One ``ExtendedState`` per sample, built on first access."""
+        if self._states is None:
+            self._states = tuple(ExtendedState(r[:-1], r[-1]) for r in self._coords)
+        return self._states
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.times)
 
     def spatial_matrix(self) -> np.ndarray:
         """Jacobi coordinates stacked into shape (samples, dim)."""
-        return np.array([s.x for s in self.states])
+        return self._coords[:, :-1]
 
     def extended_matrix(self) -> np.ndarray:
-        return np.array([s.coords() for s in self.states])
+        """Extended coordinates, t last, in shape (samples, dim + 1)."""
+        return self._coords
+
+
+def _checked(coords):
+    """coords, after ExtendedState's checks: all finite, t (last) nonzero."""
+    if not all(map(math.isfinite, coords)):
+        raise InvalidScaleError("non-finite extended state")
+    if coords[-1] == 0.0:
+        raise InvalidScaleError("scale coordinate t must be nonzero")
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +326,7 @@ def _fixed_point(kernel, y, r, xi, tail, scale, cap):
 
 def _solve_step_equation(realization, coeffs, cfg, target, ds, predictor_shift=None,
                          log=None):
-    """Solve alpha(y, xi(y)) = target for y.
+    """Solve alpha(y, xi(y)) = target for y; both are coordinate lists.
 
     The residual's Jacobian is I + O(ds), so y <- y - r(y) contracts at
     O(ds) for one compiled residual per iteration (Hairer-Lubich-Wanner,
@@ -296,17 +336,17 @@ def _solve_step_equation(realization, coeffs, cfg, target, ds, predictor_shift=N
     accuracy this way).  Where it stops short, damped Newton takes over,
     with up to two polish iterations; each phase runs at most
     ``newton_max_iter`` iterations.  Returns (y, Newton iterations, max
-    residual); ``log`` adds up both phases' iterations, keeps y and xi(y).
+    residual), y checked as a state; ``log`` adds up both phases'
+    iterations, keeps y and xi(y).
     """
-    target_coords = target.coords()
     if ds == 0.0:
-        return target, 0, 0.0
+        return list(target), 0, 0.0
     cap = cfg.newton_max_iter
-    scale = [cfg.newton_tol * (1.0 + abs(v)) for v in target_coords]
-    y, r, xi = _initial_guess(realization, coeffs, ds, target_coords, predictor_shift)
+    scale = [cfg.newton_tol * (1.0 + abs(v)) for v in target]
+    y, r, xi = _initial_guess(realization, coeffs, ds, target, predictor_shift)
     kernel = _step_kernels(realization, coeffs).residual
     y, r, xi, fixed, accepted = _fixed_point(
-        kernel, y, r, xi, [*target_coords, float(ds)], scale, cap
+        kernel, y, r, xi, [*target, float(ds)], scale, cap
     )
     newton = 0
     if not accepted:
@@ -320,7 +360,7 @@ def _solve_step_equation(realization, coeffs, cfg, target, ds, predictor_shift=N
                 )
             polish = 0 if level > 1.0 else polish + 1
             try:
-                update = _damped_update(realization, coeffs, ds, y, r, target_coords)
+                update = _damped_update(realization, coeffs, ds, y, r, target)
             except StepError:
                 if polish:
                     break
@@ -335,28 +375,16 @@ def _solve_step_equation(realization, coeffs, cfg, target, ds, predictor_shift=N
         log.fixed_point += fixed
         log.newton += newton
         log.root, log.xi = y, xi
-    return ExtendedState.from_coords(y), newton, max(map(abs, r))
+    return _checked(y), newton, max(map(abs, r))
 
 
-def solve_implicit(
-    realization: BiRealization,
-    coeffs: GeneratingCoefficients,
-    cfg: StepConfig,
-    target: ExtendedState,
-) -> ExtendedState:
-    """Solve alpha(y, sum_i ds^i grad S_i(y)) = target for y."""
-    state, _, _ = _solve_robust(realization, coeffs, cfg, target, cfg.ds, None)
-    return state
-
-
-def _predictor_shift(rhs, s_n, ds):
-    """Euler half step 0.5 ds X(s_n), or None where the field fails."""
+def _predictor_shift(rhs, x_n, ds):
+    """Euler half step 0.5 ds X(x_n), or None where the field fails."""
     try:
-        increment = np.asarray(rhs(np.asarray(s_n.coords())), dtype=float)
+        shift = [0.5 * ds * v for v in rhs(x_n)]
     except _DOMAIN_FAULTS:
         return None
-    shift = 0.5 * ds * increment
-    return shift.tolist() if np.all(np.isfinite(shift)) else None
+    return shift if all(map(math.isfinite, shift)) else None
 
 
 _CONTINUATION_LADDERS = (4, 8, 16, 32)
@@ -371,34 +399,34 @@ def _solve_robust(realization, coeffs, cfg, target, ds, predictor_shift):
     solve from the previous root, walks the solver to the full-step root
     without altering the discrete map.  Returns (y, max residual, log).
     """
-    target_coords = target.coords()
     first_failure = None
     for rungs in (1,) + _CONTINUATION_LADDERS:
         shift = predictor_shift
         log = _SolveLog()
         try:
             for j in range(1, rungs + 1):
-                state, _, residual = _solve_step_equation(
+                y, _, residual = _solve_step_equation(
                     realization, coeffs, cfg, target, ds * j / rungs, shift, log
                 )
-                shift = list(map(sub, log.root, target_coords))
+                shift = list(map(sub, y, target))
             log.rungs = rungs if rungs > 1 else 0
-            return state, residual, log
+            return y, residual, log
         except (DomainViolationError, NewtonDivergenceError) as exc:
             first_failure = first_failure or exc
     raise first_failure
 
 
-def _jhi_advance(realization, coeffs, cfg, s_n, ds, shift):
-    """One step from s_n, solving from s_n + shift: (state, residual, log)."""
-    y, residual, log = _solve_robust(realization, coeffs, cfg, s_n, ds, shift)
+def _jhi_advance(realization, coeffs, cfg, x_n, ds, shift):
+    """One step from coordinates x_n, solving from x_n + shift:
+    (image coordinates, residual, log)."""
+    y, residual, log = _solve_robust(realization, coeffs, cfg, x_n, ds, shift)
     xi = log.xi
     if not all(map(math.isfinite, xi)):
         raise EvaluationError("non-finite step covector")
-    if not realization.domain_ok(CotangentData(y, xi[:-1], xi[-1])):
+    if not realization.domain_kernel(tuple(y), tuple(xi)):
         raise DomainViolationError("step covector left the realization domain")
-    image = _step_kernels(realization, coeffs).beta([*log.root, *xi])
-    return ExtendedState.from_coords(image), residual, log
+    image = _step_kernels(realization, coeffs).beta([*y, *xi])
+    return _checked(image), residual, log
 
 
 def jhi_step(
@@ -417,16 +445,17 @@ def jhi_step(
     step_ds = cfg.ds if ds is None else float(ds)
     if step_ds == 0.0:
         return s_n
+    x_n = s_n.coords()
     try:
-        state, _, _ = _jhi_advance(
-            realization, coeffs, cfg, s_n, step_ds,
-            _predictor_shift(_lifted_rhs(model), s_n, step_ds),
+        image, _, _ = _jhi_advance(
+            realization, coeffs, cfg, x_n, step_ds,
+            _predictor_shift(_lifted_rhs(model), x_n, step_ds),
         )
     except StepError:
         raise
     except JhiError as exc:
         raise StepError(f"step failed for model {model.name}: {exc}") from exc
-    return state
+    return ExtendedState.from_coords(image)
 
 
 # ---------------------------------------------------------------------------
@@ -435,60 +464,49 @@ def jhi_step(
 
 
 def _lifted_rhs(model):
+    """X_Hhat at extended float coordinates, for the JHI predictor: the
+    compiled H, dH, Lambda and E, contracted in floats."""
     from .compiled import Kernel
 
-    structure, hamiltonian = model.structure, model.hamiltonian
-    n = structure.dim
-    parts = _cached(
-        model,
-        "field",
-        lambda: Kernel(
-            "lifted_field",
-            lambda x: lifted_field_parts(structure, hamiltonian, x),
-        ),
-    )
-
-    def rhs(coords: np.ndarray) -> np.ndarray:
-        values = coords.tolist()
-        if values[-1] == 0.0 or not all(map(math.isfinite, values)):
-            # not a state: the checked path raises InvalidScaleError
-            state = ExtendedState.from_coords(values)
-            return lifted_vector_field(structure, hamiltonian, state)
-        out = parts(values[:-1])
-        if not all(map(math.isfinite, out[: n + 1])):
-            raise EvaluationError("non-finite value in gradient evaluation")
-        return lifted_field_from_parts(out, values[-1])
-
-    return rhs
+    fn = partial(lifted_field_parts, model.structure, model.hamiltonian)
+    parts = _cached(model, "field", lambda: Kernel("lifted_field", fn))
+    return lambda coords: lifted_field_from_parts(parts(coords[:-1]), coords[-1])
 
 
-def _rk2_step(rhs, coords, h):
-    mid = coords + 0.5 * h * rhs(coords)
-    return coords + h * rhs(mid)
+# A stepper maps (field f, coordinates c, step h) to the new coordinates;
+# it runs on scalars, so one trace compiles the whole step.
 
 
-def _heun_step(rhs, coords, h):
-    k1 = rhs(coords)
-    k2 = rhs(coords + h * k1)
-    return coords + 0.5 * h * (k1 + k2)
+def _rk2_step(f, c, h):
+    mid = [a + 0.5 * h * k for a, k in zip(c, f(c))]
+    return [a + h * k for a, k in zip(c, f(mid))]
 
 
-def _rk4_step(rhs, coords, h):
-    k1 = rhs(coords)
-    k2 = rhs(coords + 0.5 * h * k1)
-    k3 = rhs(coords + 0.5 * h * k2)
-    k4 = rhs(coords + h * k3)
-    return coords + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _heun_step(f, c, h):
+    k1 = f(c)
+    end = [a + h * k for a, k in zip(c, k1)]
+    return [a + 0.5 * h * (p + q) for a, p, q in zip(c, k1, f(end))]
 
 
-def _semi_implicit_step(rhs, coords, h):
+def _rk4_step(f, c, h):
+    k1 = f(c)
+    k2 = f([a + 0.5 * h * k for a, k in zip(c, k1)])
+    k3 = f([a + 0.5 * h * k for a, k in zip(c, k2)])
+    k4 = f([a + h * k for a, k in zip(c, k3)])
+    return [
+        a + h / 6.0 * (p + 2.0 * q + 2.0 * r + w)
+        for a, p, q, r, w in zip(c, k1, k2, k3, k4)
+    ]
+
+
+def _semi_implicit_step(f, c, h):
     # Gauss-Seidel sweep: each component update sees the components
     # already advanced this step.  On the (q, p) slice of the oscillator
     # this is the classical semi-implicit Euler; z and t follow
     # explicitly afterwards.
-    out = np.array(coords, dtype=float)
-    for j in range(out.size):
-        out[j] = out[j] + h * rhs(out)[j]
+    out = list(c)
+    for j in range(len(out)):
+        out[j] = out[j] + h * f(out)[j]
     return out
 
 
@@ -500,6 +518,48 @@ _BASELINE_STEPPERS = {
 }
 
 
+def _baseline_kernel(model, kind):
+    """The compiled step of a baseline method, one per catalog model.
+
+    It maps (coordinates..., h) to groups of m = dim + 1 values: H and dH
+    at the first field evaluation, the state and H and dH of each further
+    one, and last the new coordinates.  Returning them keeps every
+    evaluation of H in the emitted code and lets ``_checked_step`` make
+    each evaluation's checks.
+    """
+    from .compiled import Kernel
+
+    structure, hamiltonian = model.structure, model.hamiltonian
+
+    def step(inputs):
+        out = []
+
+        def field(coords):
+            if out:
+                out.extend(coords)
+            parts = lifted_field_parts(structure, hamiltonian, coords[:-1])
+            out.extend(parts[: len(coords)])
+            return lifted_field_from_parts(parts, coords[-1])
+
+        out.extend(_BASELINE_STEPPERS[kind](field, inputs[:-1], inputs[-1]))
+        return out
+
+    return _cached(model, kind, lambda: Kernel(f"step_{kind}", step))
+
+
+def _checked_step(out, m):
+    """The new coordinates closing a baseline step's output, once its
+    groups pass in order: H and dH finite, each state as ``_checked``."""
+    if not all(map(math.isfinite, out)) or 0.0 in out[2 * m - 1 :: 2 * m]:
+        for k in range(0, len(out), m):
+            group = out[k : k + m]
+            if k // m % 2:
+                _checked(group)
+            elif not all(map(math.isfinite, group)):
+                raise EvaluationError("non-finite value in gradient evaluation")
+    return out[-m:]
+
+
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -507,7 +567,8 @@ _BASELINE_STEPPERS = {
 
 # Per process, for models that carry a catalog key (see models.build_model):
 # (key, order) -> (realization, coefficients), whose compiled step kernels
-# live on the coefficients, and (key, "field") -> the lifted-field kernel.
+# live on the coefficients, (key, "field") -> the lifted-field kernel, and
+# (key, method) -> the step kernel of a baseline method.
 _CACHE = {}
 
 
@@ -542,16 +603,19 @@ def _run_scheme(model, method: str):
     return _CACHE.get((key, order)) if kind == "jhi" else None
 
 
-def kernel_reports(model, method: str):
-    """Manifest entries of the kernels this process compiled for a run of
-    ``method`` on a catalog model: op count, emitted-source hash, trace ms."""
-    kernels = [_CACHE.get((getattr(model, "catalog_key", None), "field"))]
+def compiled_kernels(model, method: str):
+    """The kernels this process traced for a run of ``method`` on a
+    catalog model: the baseline step, or the JHI predictor's lifted field
+    with the step residual and beta.  Each ``report()`` is a manifest
+    entry: op count, emitted-source hash, trace ms."""
+    kind, _ = _parse_method(method)
+    key = getattr(model, "catalog_key", None)
+    kernels = [_CACHE.get((key, "field" if kind == "jhi" else kind))]
     scheme = _run_scheme(model, method)
-    if scheme is not None:
-        step = scheme[1].kernels.get(id(scheme[0]))
-        if step is not None:
-            kernels += [step.residual, step.beta]
-    return [k.report() for k in kernels if k is not None and k.traced]
+    step = scheme and scheme[1].kernels.get(id(scheme[0]))
+    if step:
+        kernels += [step.residual, step.beta]
+    return [k for k in kernels if k is not None and k.traced]
 
 
 def coefficient_report(model, method: str):
@@ -592,6 +656,23 @@ def _parse_method(method: str):
     )
 
 
+# Typed faults of a step, and those of compiled float code (zero divisor,
+# overflow, math.sin of an infinite value), which become EvaluationError.
+_STEP_FAULTS = (JhiError, ArithmeticError, ValueError)
+
+
+def _failure(label, index, exc, times, flat, width, diagnostics):
+    """The IntegrationFailure of a run whose step ``index`` raised exc."""
+    cause = exc
+    if not isinstance(exc, JhiError):
+        cause = EvaluationError(f"{type(exc).__name__}: {exc}")
+        cause.__cause__ = exc
+    trajectory = Trajectory._from_rows(times, flat, width, label, diagnostics)
+    return IntegrationFailure(
+        f"{label} failed at step {index}: {cause}", trajectory, index, cause=cause
+    )
+
+
 def integrate(
     model,
     method: str,
@@ -628,63 +709,50 @@ def integrate(
     )
     sizes = _plan_steps(t_b - t_a, cfg.ds)
 
-    times = [t_a]
-    states = [s0]
+    times, row = [t_a], s0.coords()
+    width, last = len(row), len(sizes) - 1
+    flat = array("d", row)
     if kind == "jhi":
         realization, coeffs = _cached(
             model, cfg.order, lambda: _build_scheme(model, cfg.order)
         )
         diagnostics = []
-        current = s0
         rhs = _lifted_rhs(model)
         offset = previous = None
         for index, h in enumerate(sizes):
-            x_n = current.coords()
             if offset is None or h != cfg.ds:
-                offset = _predictor_shift(rhs, current, h)
+                offset = _predictor_shift(rhs, row, h)
             try:
-                current, residual, log = _jhi_advance(
-                    realization, coeffs, cfg, current, h, offset
+                image, residual, log = _jhi_advance(
+                    realization, coeffs, cfg, row, h, offset
                 )
-            except JhiError as exc:
-                partial = Trajectory(
-                    tuple(times), tuple(states), label, tuple(diagnostics)
-                )
-                raise IntegrationFailure(
-                    f"{label} failed at step {index}: {exc}",
-                    partial,
-                    index,
-                    cause=exc,
+            except _STEP_FAULTS as exc:
+                raise _failure(
+                    label, index, exc, times, flat, width, tuple(diagnostics)
                 ) from exc
             diagnostics.append(StepDiagnostic(
                 log.newton, residual, h != cfg.ds, log.fixed_point, log.rungs
             ))
-            times.append(t_b if index == len(sizes) - 1 else t_a + (index + 1) * h)
-            states.append(current)
+            times.append(t_b if index == last else t_a + (index + 1) * h)
+            flat.extend(image)
             # next start: x + 2(y_n - x_n) - (y_n-1 - x_n-1), an O(ds^3) guess;
             # the Euler half step at first, after a continuation or shrunk step
-            latest = None if log.rungs else list(map(sub, log.root, x_n))
+            latest = None if log.rungs else list(map(sub, log.root, row))
             offset = latest if latest is None or previous is None else list(
                 map(sub, map(add, latest, latest), previous)
             )
-            previous = latest
-        return Trajectory(tuple(times), tuple(states), label, tuple(diagnostics))
+            previous, row = latest, image
+        return Trajectory._from_rows(times, flat, width, label, tuple(diagnostics))
 
-    stepper = _BASELINE_STEPPERS[kind]
-    rhs = _lifted_rhs(model)
-    coords = np.asarray(s0.coords())
+    step = _baseline_kernel(model, kind)
     for index, h in enumerate(sizes):
         try:
-            coords = stepper(rhs, coords, h)
-            state = ExtendedState(tuple(coords[:-1]), float(coords[-1]))
-        except (JhiError, OverflowError, FloatingPointError) as exc:
-            partial = Trajectory(tuple(times), tuple(states), label, None)
-            raise IntegrationFailure(
-                f"{label} failed at step {index}: {exc}", partial, index, cause=exc
-            ) from exc
-        times.append(t_b if index == len(sizes) - 1 else t_a + (index + 1) * h)
-        states.append(state)
-    return Trajectory(tuple(times), tuple(states), label, None)
+            row = _checked_step(step((*row, h)), width)
+        except _STEP_FAULTS as exc:
+            raise _failure(label, index, exc, times, flat, width, None) from exc
+        times.append(t_b if index == last else t_a + (index + 1) * h)
+        flat.extend(row)
+    return Trajectory._from_rows(times, flat, width, label, None)
 
 
 def reference_solution(model, t_span, n_steps: int, s0=None) -> Trajectory:

@@ -176,22 +176,28 @@ def lifted_field_parts(structure: JacobiStructure, H: HamiltonianField, x):
     return (hval, *grad, *(v for row in lam for v in row), *ev)
 
 
-def lifted_field_from_parts(parts, t: float) -> np.ndarray:
-    """X_Hhat from ``lifted_field_parts`` at scale t: spatial part
-    Lambda dH - H E, and dt/ds = t * E(H)."""
+def lifted_field_from_parts(parts, t):
+    """X_Hhat from ``lifted_field_parts`` at scale t, as a tuple: spatial
+    part Lambda dH - H E, and dt/ds = t * E(H).  Each contraction is summed
+    left to right, the same operations on floats and on jet or traced
+    scalars."""
     n = round(math.sqrt(len(parts))) - 1  # len(parts) = (n + 1)**2
-    hval = float(parts[0])
-    grad = np.array(parts[1 : n + 1], dtype=float)
-    lam = np.array(parts[n + 1 : n + 1 + n * n], dtype=float).reshape(n, n)
-    ev = np.array(parts[n + 1 + n * n :], dtype=float)
-    spatial = lam @ grad - hval * ev
-    return np.concatenate([spatial, [t * float(ev @ grad)]])
+    hval, grad, ev = parts[0], parts[1 : n + 1], parts[n + 1 + n * n :]
+
+    def dot(row):
+        acc = row[0] * grad[0]
+        for a, b in zip(row[1:], grad[1:]):
+            acc = acc + a * b
+        return acc
+
+    rows = (parts[n + 1 + i * n : n + 1 + (i + 1) * n] for i in range(n))
+    return (*(dot(row) - hval * e for row, e in zip(rows, ev)), t * dot(ev))
 
 
 def lifted_vector_field(structure: JacobiStructure, H: HamiltonianField, state: ExtendedState) -> np.ndarray:
     """X_Hhat: spatial part X_H, and dt/ds = t * E(H)."""
     parts = lifted_field_parts(structure, H, tuple(float(v) for v in state.x))
-    return lifted_field_from_parts(parts, state.t)
+    return np.array(lifted_field_from_parts(parts, state.t))
 
 
 def homogeneity_action(state: ExtendedState, z: float) -> ExtendedState:

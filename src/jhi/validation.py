@@ -89,18 +89,27 @@ def _fmt(x: float) -> str:
     return f"{x:.3g}"
 
 
-def _table_result(
-    index: int,
-    name: str,
-    checks: Sequence[Tuple[str, Tuple[float, ...], float, float, float]],
-    order_window: Tuple[float, float],
-) -> CriterionResult:
-    """Assemble a result from (label, tail_orders, error, target, factor)."""
+def _table_result(index: int, name: str, model_name: str, pinned_ds: float, specs):
+    """A criterion from a model's published convergence table.
+
+    Each spec (order, error target, factor, order window) runs jhi<order>
+    on the protocol grids against one RK4 reference; it passes when the
+    last three observed orders lie in the window and the error at the
+    pinned ds is within the factor of the target.
+    """
+    proto = study_protocol(model_name)
+    model = build_model(model_name, proto.overrides)
+    ref = reference_solution(model, proto.span, proto.reference_steps)
     parts = []
     metrics: Dict[str, float] = {}
     ok = True
-    for label, orders, error, target, factor in checks:
-        orders_ok = _orders_within(orders, order_window)
+    for order, target, factor, window in specs:
+        label = f"jhi{order}"
+        rows = estimate_order(
+            model, label, proto.span, proto.grids, ref, extended=proto.extended
+        )
+        orders, error = _tail_orders(rows), _row_near(rows, pinned_ds).error_l2
+        orders_ok = _orders_within(orders, window)
         ratio = error / target
         ratio_ok = 1.0 / factor <= ratio <= factor
         ok = ok and orders_ok and ratio_ok
@@ -110,7 +119,7 @@ def _table_result(
             metrics[f"{label}_order_{j}"] = v
         parts.append(
             f"{label} orders {','.join(_fmt(v) for v in orders)}"
-            f"{'' if orders_ok else ' OUT OF ' + str(order_window)}; "
+            f"{'' if orders_ok else ' OUT OF ' + str(window)}; "
             f"err {_fmt(error)} vs {_fmt(target)} (x{ratio:.2f}"
             f"{'<=' if ratio_ok else '>'}{factor:g})"
         )
@@ -168,18 +177,9 @@ def check_planar_table(
     pinned_ds: float = 2.0**-9,
     order_window: Tuple[float, float] = (1.85, 2.15),
 ) -> CriterionResult:
-    proto = study_protocol("jacobi2d")
-    model = build_model("jacobi2d", proto.overrides)
-    ref = reference_solution(model, proto.span, proto.reference_steps)
-    rows = estimate_order(
-        model, "jhi1", proto.span, proto.grids, ref, extended=proto.extended
-    )
-    row = _row_near(rows, pinned_ds)
     return _table_result(
-        2,
-        "planar cosine-product convergence",
-        [("jhi1", _tail_orders(rows), row.error_l2, error_target, error_factor)],
-        order_window,
+        2, "planar cosine-product convergence", "jacobi2d", pinned_ds,
+        [(1, error_target, error_factor, order_window)],
     )
 
 
@@ -192,39 +192,10 @@ def check_triple_table(
     first_window: Tuple[float, float] = (1.85, 2.15),
     third_window: Tuple[float, float] = (3.85, 4.15),
 ) -> CriterionResult:
-    proto = study_protocol("jacobi3d")
-    model = build_model("jacobi3d", proto.overrides)
-    ref = reference_solution(model, proto.span, proto.reference_steps)
-    checks = []
-    for order, target, factor, window in (
-        (1, first_target, first_factor, first_window),
-        (3, third_target, third_factor, third_window),
-    ):
-        rows = estimate_order(
-            model, f"jhi{order}", proto.span, proto.grids, ref,
-            extended=proto.extended,
-        )
-        row = _row_near(rows, pinned_ds)
-        orders = _tail_orders(rows)
-        window_ok = _orders_within(orders, window)
-        checks.append((f"jhi{order}", orders, row.error_l2, target, factor, window, window_ok))
-    parts = []
-    metrics: Dict[str, float] = {}
-    ok = True
-    for label, orders, error, target, factor, window, window_ok in checks:
-        ratio = error / target
-        ratio_ok = 1.0 / factor <= ratio <= factor
-        ok = ok and window_ok and ratio_ok
-        metrics[f"{label}_error"] = error
-        metrics[f"{label}_ratio"] = ratio
-        parts.append(
-            f"{label} orders {','.join(_fmt(v) for v in orders)}"
-            f"{'' if window_ok else ' OUT OF ' + str(window)}; "
-            f"err {_fmt(error)} vs {_fmt(target)} (x{ratio:.2f}"
-            f"{'<=' if ratio_ok else '>'}{factor:g})"
-        )
-    return CriterionResult(
-        3, "triple-product convergence", ok, " | ".join(parts), metrics
+    return _table_result(
+        3, "triple-product convergence", "jacobi3d", pinned_ds,
+        [(1, first_target, first_factor, first_window),
+         (3, third_target, third_factor, third_window)],
     )
 
 
@@ -234,18 +205,9 @@ def check_quartic_table(
     pinned_ds: float = 0.0015,
     order_window: Tuple[float, float] = (1.85, 2.15),
 ) -> CriterionResult:
-    proto = study_protocol("jacobi4d")
-    model = build_model("jacobi4d", proto.overrides)
-    ref = reference_solution(model, proto.span, proto.reference_steps)
-    rows = estimate_order(
-        model, "jhi1", proto.span, proto.grids, ref, extended=proto.extended
-    )
-    row = _row_near(rows, pinned_ds)
     return _table_result(
-        4,
-        "first-order-realization convergence",
-        [("jhi1", _tail_orders(rows), row.error_l2, error_target, error_factor)],
-        order_window,
+        4, "first-order-realization convergence", "jacobi4d", pinned_ds,
+        [(1, error_target, error_factor, order_window)],
     )
 
 
@@ -258,36 +220,10 @@ def check_damped_table(
     first_window: Tuple[float, float] = (1.85, 2.15),
     third_window: Tuple[float, float] = (3.85, 4.15),
 ) -> CriterionResult:
-    proto = study_protocol("damped")
-    model = build_model("damped", proto.overrides)
-    ref = reference_solution(model, proto.span, proto.reference_steps)
-    parts = []
-    metrics: Dict[str, float] = {}
-    ok = True
-    for order, target, factor, window in (
-        (1, first_target, first_factor, first_window),
-        (3, third_target, third_factor, third_window),
-    ):
-        rows = estimate_order(
-            model, f"jhi{order}", proto.span, proto.grids, ref,
-            extended=proto.extended,
-        )
-        row = _row_near(rows, pinned_ds)
-        orders = _tail_orders(rows)
-        window_ok = _orders_within(orders, window)
-        ratio = row.error_l2 / target
-        ratio_ok = 1.0 / factor <= ratio <= factor
-        ok = ok and window_ok and ratio_ok
-        metrics[f"jhi{order}_error"] = row.error_l2
-        metrics[f"jhi{order}_ratio"] = ratio
-        parts.append(
-            f"jhi{order} orders {','.join(_fmt(v) for v in orders)}"
-            f"{'' if window_ok else ' OUT OF ' + str(window)}; "
-            f"err {_fmt(row.error_l2)} vs {_fmt(target)} (x{ratio:.2f}"
-            f"{'<=' if ratio_ok else '>'}{factor:g})"
-        )
-    return CriterionResult(
-        5, "damped-oscillator convergence", ok, " | ".join(parts), metrics
+    return _table_result(
+        5, "damped-oscillator convergence", "damped", pinned_ds,
+        [(1, first_target, first_factor, first_window),
+         (3, third_target, third_factor, third_window)],
     )
 
 
@@ -297,18 +233,9 @@ def check_predator_prey_table(
     pinned_ds: float = 2.0**-9,
     order_window: Tuple[float, float] = (1.85, 2.15),
 ) -> CriterionResult:
-    proto = study_protocol("lotka_volterra")
-    model = build_model("lotka_volterra", proto.overrides)
-    ref = reference_solution(model, proto.span, proto.reference_steps)
-    rows = estimate_order(
-        model, "jhi1", proto.span, proto.grids, ref, extended=proto.extended
-    )
-    row = _row_near(rows, pinned_ds)
     return _table_result(
-        6,
-        "predator-prey convergence",
-        [("jhi1", _tail_orders(rows), row.error_l2, error_target, error_factor)],
-        order_window,
+        6, "predator-prey convergence", "lotka_volterra", pinned_ds,
+        [(1, error_target, error_factor, order_window)],
     )
 
 

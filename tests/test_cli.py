@@ -1,5 +1,6 @@
 """Command-line surface: config handling, CSV schemas, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from jhi.cli import (
 )
 from jhi.diagnostics import DriftSeries, OrderStudyRow
 from jhi.errors import ConfigError, IntegrationFailure
+from jhi.integrator import compiled_kernels
+from jhi.models import build_model
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +231,24 @@ def test_manifest_reports_coefficients(tmp_path):
     assert main(argv + ["--method", "rk4", "--out", str(tmp_path / "rk4")]) == 0
     manifest = json.loads((tmp_path / "rk4" / "run_manifest.json").read_text())
     assert "coefficients" not in manifest
+
+
+@pytest.mark.parametrize(
+    "method,names",
+    [("jhi3", ["lifted_field", "residual_jhi3", "beta"]), ("rk4", ["step_rk4"])],
+)
+def test_kernels_command_prints_each_compiled_kernel(method, names, capsys):
+    assert main(["kernels", "--model", "jacobi3d", "--method", method]) == 0
+    out = capsys.readouterr().out
+    kernels = compiled_kernels(build_model("jacobi3d"), method)
+    assert [k.name for k in kernels] == names
+    for kernel in kernels:
+        source = kernel.source()
+        digest = hashlib.sha256(source.encode()).hexdigest()
+        assert digest == kernel.source_sha256
+        header = f"# kernel {kernel.name}: {kernel.ops} ops, source sha256 {digest}\n"
+        assert header + source in out
+    assert main(["kernels", "--model", "jacobi3d", "--method", "euler"]) == 2
 
 
 def test_list_models_catalog(capsys):

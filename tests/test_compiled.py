@@ -30,6 +30,7 @@ from jhi.cli import main
 from jhi.compiled import Kernel
 from jhi.errors import (
     DomainViolationError,
+    EvaluationError,
     IntegrationFailure,
     SeriesDomainError,
     StepError,
@@ -46,7 +47,12 @@ from jhi.integrator import (
     integrate,
     jhi_step,
 )
-from jhi.jacobi import ExtendedState, lifted_field_parts, lifted_vector_field
+from jhi.jacobi import (
+    ExtendedState,
+    HamiltonianField,
+    lifted_field_parts,
+    lifted_vector_field,
+)
 from jhi.models import build_model, model_names
 
 CATALOG = [(name, None) for name in model_names()] + [
@@ -171,6 +177,31 @@ def test_domain_fault_in_compiled_code_is_typed():
         kernel([*outside.tolist(), *target.tolist(), 0.01])
     with pytest.raises(DomainViolationError):
         _residual_vector(realization, coeffs, 0.01, outside, target)
+
+
+@pytest.mark.parametrize("method", ["rk4", "symplectic_euler"])
+def test_zero_divisor_in_a_compiled_step_is_an_evaluation_error(method):
+    # jacobi3d with H = 1/x1 + x2: the step compiled at x1 = 1 divides by
+    # zero at x1 = 0, where float code raises a bare ZeroDivisionError
+    model = dataclasses.replace(
+        build_model("jacobi3d"),
+        hamiltonian=HamiltonianField(lambda c: 1.0 / c[0] + c[1]),
+    )
+    object.__setattr__(model, "catalog_key", ("jacobi3d-inverse", method))
+    traced, at_zero = ExtendedState((1.0, 0.5, 0.5), 1.0), (0.0, 0.5, 0.5, 1.0)
+    assert len(integrate(model, method, (0.0, 0.02), 0.01, traced)) == 3
+    kernel = _CACHE[(model.catalog_key, method)]
+    assert kernel.traced and not kernel.fallback
+    with pytest.raises(ZeroDivisionError):
+        kernel(at_zero + (0.01,))
+    with pytest.raises(IntegrationFailure) as info:
+        integrate(
+            model, method, (0.0, 0.02), 0.01, ExtendedState(at_zero[:-1], 1.0)
+        )
+    failure = info.value
+    assert failure.step_index == 0 and len(failure.trajectory) == 1
+    assert type(failure.cause) is EvaluationError
+    assert isinstance(failure.cause.__cause__, ZeroDivisionError)
 
 
 def test_checked_helpers_raise_instead_of_complex_results():

@@ -3,11 +3,12 @@
 ``tests/golden_metrics.json`` holds every ``CriterionResult.metrics``
 value (criterion 2 included, as measured), the SHA-256 of each CSV that
 a fixed set of CLI configurations writes, the numbers in the CSVs of the
-configurations that run a JHI method, the solver's iteration counts
-on one of those runs, and the op counts of the lifted-field, residual
-and beta kernels of every catalog model and method jhi1..jhi4 (``costs``;
-they do not depend on host speed, are compared exactly, and a change
-that moves them regenerates the record and reports the move).
+configurations that run a JHI method, the solver's iteration counts on
+those same configurations, and the op counts of the kernels every catalog
+model compiles for each method (lifted field, residual and beta for
+jhi1..jhi4, the whole step for rk2, heun, rk4 and symplectic_euler).
+Those ``costs`` do not depend on host speed and are compared exactly; a
+change that moves them regenerates the record and reports the move.
 New metrics are allowed; missing ones fail.
 
 Two tiers:
@@ -34,8 +35,9 @@ from pathlib import Path
 
 import pytest
 
-from jhi.cli import main
-from jhi.integrator import integrate, kernel_reports
+from jhi.cli import build_parser, main
+from jhi.diagnostics import study_protocol
+from jhi.integrator import compiled_kernels, integrate
 from jhi.models import build_model, model_names
 
 GOLDEN = Path(__file__).with_name("golden_metrics.json")
@@ -84,9 +86,8 @@ CONFIGS = {
 }
 
 
-# Runs whose solver counts are recorded, as the CLI configuration of the
-# same name makes them: name -> (model, method, span, ds).
-COUNTED = {"drift-jacobi3d-jhi1": ("jacobi3d", "jhi1", (0.0, 1.0), 0.02)}
+# Configurations whose solver counts are recorded: every one running JHI.
+COUNTED = tuple(name for name in sorted(CONFIGS) if "-jhi" in name)
 
 
 def run_config(name, outdir):
@@ -112,10 +113,27 @@ def _cells(line):
     return [float(cell) if cell else None for cell in line.split(",")]
 
 
+def counted_runs(name):
+    """(model, method, [(span, ds), ...]): what the CLI configuration of
+    that name integrates, one run per grid for an order study."""
+    args = build_parser().parse_args(CONFIGS[name])
+    params = dict(item.split("=", 1) for item in args.param or ())
+    model = build_model(args.model, params or None)
+    if args.command != "order-study":
+        return model, args.method, [(tuple(args.span), args.ds)]
+    proto = study_protocol(args.model)
+    width = proto.span[1] - proto.span[0]
+    return model, args.method, [(proto.span, width / n) for n in proto.grids]
+
+
 def solver_counts(name):
-    """Steps, iterations per solver phase, Newton fallbacks and rungs of a run."""
-    model, method, span, ds = COUNTED[name]
-    steps = integrate(build_model(model), method, span, ds).per_step_diagnostics
+    """Steps, iterations per solver phase, Newton fallbacks and rungs of a
+    configuration's runs, from the default state."""
+    model, method, runs = counted_runs(name)
+    steps = [
+        d for span, ds in runs
+        for d in integrate(model, method, span, ds).per_step_diagnostics
+    ]
     return {
         "steps": len(steps),
         "fixed_point_iterations": sum(d.fixed_point_iterations for d in steps),
@@ -126,24 +144,24 @@ def solver_counts(name):
 
 
 # Catalog models whose compiled kernels' op counts are recorded, per
-# method jhi1..jhi4: label -> (model, parameter overrides).
+# method: label -> (model, parameter overrides).
 CATALOG = {name: (name, None) for name in model_names()}
 CATALOG["jacobi2d_cossin"] = ("jacobi2d", {"hamiltonian": "cossin"})
+OP_METHODS = ("jhi1", "jhi2", "jhi3", "jhi4", "rk2", "heun", "rk4", "symplectic_euler")
 
 
 def kernel_ops():
-    """{label: {method: {kernel name: op count}}} of the lifted-field,
-    residual and beta kernels, traced by one step from the default state."""
+    """{label: {method: {kernel name: op count}}} of the kernels a run
+    compiles (lifted field, residual and beta for JHI, the whole step for
+    a baseline), traced by one step from the default state."""
     record = {}
     for label, (name, params) in sorted(CATALOG.items()):
         model = build_model(name, params)
         record[label] = {}
-        for order in range(1, 5):
-            method = f"jhi{order}"
+        for method in OP_METHODS:
             integrate(model, method, (0.0, 0.01), 0.01)
             record[label][method] = {
-                entry["name"]: entry.get("ops")
-                for entry in kernel_reports(model, method)
+                k.name: k.ops for k in compiled_kernels(model, method)
             }
     return record
 
@@ -199,7 +217,7 @@ def test_cli_csvs_match_golden(name, tmp_path):
             ), (file, line_want, line_got)
 
 
-@pytest.mark.parametrize("name", sorted(COUNTED))
+@pytest.mark.parametrize("name", COUNTED)
 def test_solver_counts_match_golden(name):
     assert solver_counts(name) == _golden()["costs"][name]
 
@@ -218,7 +236,7 @@ def _write(tmp):
     values = {
         name: csv_lines(tmp / name) for name in sorted(CONFIGS) if _runs_solver(name)
     }
-    costs = {name: solver_counts(name) for name in sorted(COUNTED)}
+    costs = {name: solver_counts(name) for name in COUNTED}
     costs["kernel_ops"] = kernel_ops()
     record = {"criteria": criteria, "csv": csv, "csv_values": values, "costs": costs}
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n")

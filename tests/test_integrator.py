@@ -14,6 +14,7 @@ from jhi import jets
 from jhi.errors import (
     ConfigError,
     DomainViolationError,
+    EvaluationError,
     IntegrationFailure,
     NewtonDivergenceError,
     StepError,
@@ -23,13 +24,13 @@ from jhi.integrator import (
     StepConfig,
     Trajectory,
     _residual_vector,
+    _solve_robust,
     _solve_step_equation,
     _SolveLog,
     _step_kernels,
     integrate,
     jhi_step,
     reference_solution,
-    solve_implicit,
 )
 from jhi.jacobi import (
     ExtendedState,
@@ -99,11 +100,19 @@ def test_zero_step_returns_start_in_zero_iterations():
     cfg = StepConfig(ds=0.1)
     target = model.default_state()
     y, iterations, residual = _solve_step_equation(
-        model.realization, coeffs, cfg, target, 0.0
+        model.realization, coeffs, cfg, target.coords(), 0.0
     )
     assert iterations == 0 and residual == 0.0
-    assert y.coords() == target.coords()
+    assert tuple(y) == target.coords()
     assert jhi_step(model, model.realization, coeffs, cfg, target, ds=0.0) is target
+
+
+def solve(model, coeffs, cfg, target):
+    """The step equation's root for a target state, as a coordinate list."""
+    y, _, _ = _solve_robust(
+        model.realization, coeffs, cfg, target.coords(), cfg.ds, None
+    )
+    return y
 
 
 def test_solve_reproduces_target_within_tolerance():
@@ -113,9 +122,9 @@ def test_solve_reproduces_target_within_tolerance():
         coeffs = coefficients_for(model, 1)
         cfg = StepConfig(ds=0.05)
         target = model.sample_state(rng)
-        y = solve_implicit(model.realization, coeffs, cfg, target)
-        xi = coeffs.covector_kernel(cfg.ds, y.coords())
-        image = model.realization.alpha_kernel(y.coords(), xi)
+        y = tuple(solve(model, coeffs, cfg, target))
+        xi = coeffs.covector_kernel(cfg.ds, y)
+        image = model.realization.alpha_kernel(y, xi)
         gap = max(
             abs(float(a) - b) for a, b in zip(image, target.coords())
         )
@@ -131,7 +140,8 @@ def test_contact_solve_iteration_count_is_small():
     cfg = StepConfig(ds=0.1)
     log = _SolveLog()
     _solve_step_equation(
-        model.realization, coeffs, cfg, model.default_state(), cfg.ds, log=log
+        model.realization, coeffs, cfg, model.default_state().coords(), cfg.ds,
+        log=log,
     )
     assert log.newton == 0
     assert 1 <= log.fixed_point <= 16
@@ -139,8 +149,8 @@ def test_contact_solve_iteration_count_is_small():
 
 def accepted_on_jets_path(model, coeffs, ds, y, target, tol):
     """The solver's acceptance test, re-evaluated on the interpreted path."""
-    xi = coeffs.covector_kernel(ds, y.coords())
-    image = model.realization.alpha_kernel(y.coords(), xi)
+    xi = coeffs.covector_kernel(ds, tuple(y))
+    image = model.realization.alpha_kernel(tuple(y), xi)
     return all(
         abs(float(a) - b) <= tol * (1.0 + abs(b))
         for a, b in zip(image, target.coords())
@@ -157,7 +167,7 @@ def test_solver_roots_pass_acceptance_on_jets_path(name):
             cfg = StepConfig(ds=ds, order=order)
             for _ in range(3):
                 target = model.sample_state(rng)
-                y = solve_implicit(model.realization, coeffs, cfg, target)
+                y = solve(model, coeffs, cfg, target)
                 assert accepted_on_jets_path(
                     model, coeffs, ds, y, target, cfg.newton_tol
                 ), (order, ds, target.coords())
@@ -177,7 +187,7 @@ def test_newton_takes_over_where_fixed_point_stops_contracting():
     assert sizes[3] > 0.5 * sizes[2] and sizes[2] > 1e-3
     log = _SolveLog()
     root, newton, _ = _solve_step_equation(
-        model.realization, coeffs, StepConfig(ds=ds), target, ds, None, log
+        model.realization, coeffs, StepConfig(ds=ds), target.coords(), ds, None, log
     )
     assert log.fixed_point >= 1 and newton == log.newton >= 1
     assert accepted_on_jets_path(model, coeffs, ds, root, target, 1e-12)
@@ -197,7 +207,7 @@ def test_newton_takes_over_after_domain_fault_in_fixed_point():
         )
     log = _SolveLog()
     root, newton, _ = _solve_step_equation(
-        model.realization, coeffs, StepConfig(ds=ds), target, ds, None, log
+        model.realization, coeffs, StepConfig(ds=ds), target.coords(), ds, None, log
     )
     assert log.fixed_point == 0 and newton >= 1
     assert accepted_on_jets_path(model, coeffs, ds, root, target, 1e-12)
@@ -209,7 +219,7 @@ def test_newton_divergence_carries_residual():
     cfg = StepConfig(ds=0.5, newton_max_iter=1)
     with pytest.raises(NewtonDivergenceError) as info:
         _solve_step_equation(
-            model.realization, coeffs, cfg, model.default_state(), cfg.ds
+            model.realization, coeffs, cfg, model.default_state().coords(), cfg.ds
         )
     assert info.value.residual is not None and info.value.residual > 0.0
 
@@ -326,7 +336,7 @@ def poisson_defect(model, coeffs, ds, x_n):
     one over the beta kernel, fed those xi, gives DB.
     """
     cfg = StepConfig(ds=ds, order=coeffs.order)
-    y = solve_implicit(model.realization, coeffs, cfg, x_n).coords()
+    y = solve(model, coeffs, cfg, x_n)
     kernels = _step_kernels(model.realization, coeffs)
     m = len(y)
     seeded = [jets.Dual.seed(v, j, m) for j, v in enumerate(y)]
@@ -436,6 +446,62 @@ def test_failure_carries_partial_trajectory():
     assert failure.step_index >= 0
     assert len(failure.trajectory) == failure.step_index + 1
     assert failure.trajectory.method_label == "jhi1"
+
+
+def _same_rows(got, want):
+    assert got.times == want.times
+    assert [s.coords() for s in got.states] == [s.coords() for s in want.states]
+    assert np.array_equal(got.extended_matrix(), want.extended_matrix())
+    assert got.extended_matrix().tolist() == [list(s.coords()) for s in got.states]
+
+
+# Failing runs: (ds, span end, seed of a sampled start or None for the
+# default one), then the pinned step index, cause, message, sample count
+# and last row of the partial trajectory.
+FAILURES = {
+    "jacobi4d-jhi1": (
+        0.005, 5.0, 35,
+        124, DomainViolationError, "step covector left the realization domain", 125,
+        (-99.15582027476087, 99.15162049124957, 1.305020552549438,
+         1.3404770872406764, 241.00565059155508),
+    ),
+    "jacobi3d-rk4": (
+        0.5, 200.0, None,
+        3, EvaluationError, "non-finite value in gradient evaluation", 4,
+        (1.3460629154102234e+301, -2.697763513554001e+300,
+         -2.697763513554001e+300, -3.6331748353789506e+297),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_failed_run_keeps_the_partial_trajectory(case):
+    # jacobi4d jhi1 blows up from a sampled start; jacobi3d rk4 overflows.
+    # The partial trajectory is the run that stops before the failing step.
+    ds, end, seed, index, cause, message, samples, last = FAILURES[case]
+    name, method = case.split("-")
+    model = build_model(name)
+    s0 = None if seed is None else model.sample_state(np.random.default_rng(seed))
+    with pytest.raises(IntegrationFailure) as info:
+        integrate(model, method, (0.0, end), ds, s0)
+    failure = info.value
+    assert failure.step_index == index and len(failure.trajectory) == samples
+    assert type(failure.cause) is cause and str(failure.cause) == message
+    assert failure.trajectory.states[-1].coords() == last
+    _same_rows(failure.trajectory, integrate(model, method, (0.0, index * ds), ds, s0))
+
+
+@pytest.mark.parametrize("method", ["jhi1", "rk4"])
+def test_public_constructor_matches_the_integrated_trajectory(method):
+    traj = integrate(build_model("damped"), method, (0.0, 0.5), 0.05)
+    rebuilt = Trajectory(
+        traj.times, traj.states, traj.method_label, traj.per_step_diagnostics
+    )
+    assert len(rebuilt) == len(traj) == 11
+    _same_rows(rebuilt, traj)
+    assert np.array_equal(rebuilt.spatial_matrix(), traj.spatial_matrix())
+    assert rebuilt.per_step_diagnostics == traj.per_step_diagnostics
+    assert not traj.extended_matrix().flags.writeable
 
 
 def test_method_labels():
