@@ -92,9 +92,11 @@ def _fmt(value: float) -> str:
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory, coord_names) -> None:
+    rows = traj.extended_matrix()
+    row_format = ",".join(["%.16e"] * (1 + rows.shape[1]))  # what _fmt writes
     lines = ["time," + ",".join(coord_names) + ",t"]
-    for time, row in zip(traj.times, traj.extended_matrix().tolist()):
-        lines.append(",".join(map(_fmt, (time, *row))))
+    for time, row in zip(traj.times, rows.tolist()):
+        lines.append(row_format % (time, *row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -109,7 +111,7 @@ def write_order_study_csv(path: Path, rows) -> None:
 def write_drift_csv(path: Path, series) -> None:
     lines = ["time,value"]
     for time, value in zip(series.times, series.values):
-        lines.append(f"{_fmt(time)},{_fmt(value)}")
+        lines.append("%.16e,%.16e" % (time, value))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -18,6 +18,18 @@ sense of Griewank-Walther, *Evaluating Derivatives*, ch. 6).
   sign of a zero (``x + 0.0`` folds to ``x``, which keeps ``x = -0.0``)
   and for a non-finite ``x`` in ``x * 0.0``, which folds to ``0.0``, not
   NaN.
+* Gradients of recursion-built coefficients (S_i for i >= 2 that the
+  generating-function recursion builds) are reverse-swept at trace time:
+  ``gradient`` appends their adjoints to the recorded graph.  Forward
+  duals would carry one partial per coordinate through every operation
+  of the recursion, nested again inside S_3's and S_4's own use of
+  grad S_2 and grad S_3; a reverse sweep costs a small multiple of the
+  value whatever the number of coordinates.  Everything else keeps
+  forward duals: S_1, closed-form coefficients, the lifted field and
+  beta are short, so their kernels stay bit-identical to the interpreted
+  path, and float or ``Dual`` evaluation outside a trace has no graph to
+  sweep.  The emitted code is ordinary code either way, which
+  ``Kernel.dual`` runs for the Newton Jacobian.
 * The emitted source is split into chunks of about ``CHUNK`` statements
   over one slot list, each compiled once.  The code is executed twice:
   with float helpers (``log``, ``sqrt`` and real powers raise
@@ -35,9 +47,9 @@ import math
 import time
 
 from . import jets
-from .errors import CapabilityError, SeriesDomainError
+from .errors import CapabilityError, SeriesDomainError, SingularSeriesError
 
-__all__ = ["Kernel", "TraceAbort"]
+__all__ = ["Kernel", "TraceAbort", "gradient"]
 
 CHUNK = 100
 
@@ -51,10 +63,11 @@ _PARAM = ("ipow", "rpow")
 
 
 class _Graph:
-    __slots__ = ("ops", "memo")
+    __slots__ = ("ops", "values", "memo")
 
     def __init__(self):
         self.ops = []  # (name, a, b); ints are node refs, 1-tuples constants
+        self.values = []  # each node's value at the trace point
         self.memo = {}
 
     def node(self, name, a, b, value):
@@ -63,7 +76,12 @@ class _Graph:
         if index is None:
             index = self.memo[key] = len(self.ops)
             self.ops.append(key)
+            self.values.append(value)
         return _Rec(self, index, value)
+
+    def scalar(self, ref):
+        """The recorded scalar or the float an operand reference names."""
+        return _Rec(self, ref, self.values[ref]) if type(ref) is int else ref[0]
 
 
 def _is(ref, c):
@@ -249,6 +267,97 @@ _JET_ENV = {
     "_rpow": jets.power,
     "_atan2": jets.arctan2,
 }
+
+
+# ---------------------------------------------------------------------------
+# reverse sweep
+
+
+def _atan2_den(a, b):
+    den = b * b + a * a
+    if jets.leading_value(den) == 0.0:
+        raise SingularSeriesError("arctan2 at the coordinate origin")
+    return den
+
+
+# op -> one adjoint rule per operand, rule(a, b, y, bar): a and b are the
+# operands (b is the exponent of ipow and rpow), y the op's result and bar
+# its adjoint; the rule returns the operand's share of bar
+_ADJOINT = {
+    "add": (lambda a, b, y, g: g, lambda a, b, y, g: g),
+    "sub": (lambda a, b, y, g: g, lambda a, b, y, g: -g),
+    "mul": (lambda a, b, y, g: g * b, lambda a, b, y, g: g * a),
+    "div": (lambda a, b, y, g: g / b, lambda a, b, y, g: -(g / b * y)),
+    "neg": (lambda a, b, y, g: -g,),
+    "exp": (lambda a, b, y, g: g * y,),
+    "log": (lambda a, b, y, g: g / a,),
+    "sin": (lambda a, b, y, g: g * jets.cos(a),),
+    "cos": (lambda a, b, y, g: -(g * jets.sin(a)),),
+    "sqrt": (lambda a, b, y, g: g / (2.0 * y),),
+    "ipow": (lambda a, n, y, g: g * (n * a ** (n - 1)) if n else 0.0,),
+    "rpow": (lambda a, r, y, g: g * (r * jets.power(a, r - 1.0)),),
+    "atan2": (
+        lambda a, b, y, g: g * b / _atan2_den(a, b),
+        lambda a, b, y, g: -(g * a / _atan2_den(a, b)),
+    ),
+}
+
+
+def gradient(output, inputs):
+    """Partials of a recorded scalar with respect to recorded kernel inputs.
+
+    A reverse sweep (Griewank-Walther, *Evaluating Derivatives*, ch. 3-4):
+    it walks the graph from the output down to the inputs and records each
+    adjoint as new nodes of the same graph, so folding and merging apply to
+    them as to any other operation.  It costs a small multiple of the
+    output's own operations, whatever the number of inputs.  The inputs
+    must be distinct kernel inputs, which no other node feeds: the sweep
+    stops at them.  An op without an adjoint rule aborts the trace.
+    """
+    if not isinstance(output, _Rec):
+        if _const(output) is None:
+            raise TraceAbort("gradient of an unsupported value")
+        return [0.0] * len(inputs)
+    graph = output.graph
+    ops = graph.ops
+    active = set()
+    for x in inputs:
+        if not (isinstance(x, _Rec) and x.graph is graph and ops[x.index][0] == "in"):
+            raise TraceAbort("gradient with respect to a computed scalar")
+        if x.index in active:
+            raise TraceAbort("gradient with respect to a repeated input")
+        active.add(x.index)
+    seen, stack = {output.index}, [output.index]
+    while stack:
+        op = ops[stack.pop()]
+        if op[0] != "in":
+            for r in _operands(op):
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+    sweep = []  # the ops between the inputs and the output, in recording order
+    for i in sorted(seen):
+        if ops[i][0] != "in" and any(r in active for r in _operands(ops[i])):
+            active.add(i)
+            sweep.append(i)
+    adjoint = {output.index: 1.0}
+    for i in reversed(sweep):
+        bar = adjoint.pop(i, None)
+        if bar is None:
+            continue
+        name, a, b = ops[i]
+        rules = _ADJOINT.get(name)
+        if rules is None:
+            raise TraceAbort("no adjoint rule for %r" % name)
+        refs = (a, b)[: len(rules)]
+        operand = graph.scalar(b) if len(rules) == 2 else b
+        args = (graph.scalar(a), operand, graph.scalar(i), bar)
+        for ref, rule in zip(refs, rules):
+            if ref in active:
+                term = rule(*args)
+                old = adjoint.get(ref)
+                adjoint[ref] = term if old is None else old + term
+    return [adjoint.get(x.index, 0.0) for x in inputs]
 
 
 # ---------------------------------------------------------------------------

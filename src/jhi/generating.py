@@ -11,7 +11,9 @@ namely S_{i+1}(x) = coeff_i[ Hhat(alpha(x, xi(s))) ] / (i+1), the gradient
 being the full extended one (t component included).  All evaluation is done
 with truncated series in the formal parameter s whose coefficients may be
 dual numbers, so gradients of recursion-built coefficients come from one
-more dual pass over the same expression.
+more dual pass over the same expression; while a compiled kernel traces
+them, from a reverse sweep over the recorded value instead
+(``compiled.gradient``).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class GeneratingCoefficients:
             weight = weight * ds
             if self.zero_flags[i]:
                 continue
-            _, grad = jets.evaluate_with_gradient(self.fields[i], coords)
+            grad = _gradient(self.fields[i], coords, self.provenance[i] == "recursion")
             for comp in range(m):
                 total[comp] = total[comp] + weight * grad[comp]
         return tuple(total)
@@ -76,16 +78,34 @@ def _series_coefficient(value, index):
     return 0.0
 
 
-def _recursion_field(h_lifted, realization: BiRealization, prior: Sequence[Callable], index: int):
-    """Field for S_{index+1} given prior = (S_1 .. S_index)."""
+def _gradient(f, coords, recursion: bool):
+    """grad f at coords.  A recursion-built f on recording scalars (a
+    compiled kernel's trace) gets a reverse sweep over its recorded value,
+    whose cost does not grow with the number of coordinates; everything
+    else takes one forward dual layer."""
+    if recursion and all(isinstance(c, jets.Leaf) for c in coords):
+        from .compiled import gradient  # loaded already: it made the scalars
+
+        return gradient(f(coords), coords)
+    return jets.evaluate_with_gradient(f, coords)[1]
+
+
+def _recursion_field(
+    h_lifted,
+    realization: BiRealization,
+    prior: Sequence[Callable],
+    provenance: Sequence[str],
+    index: int,
+):
+    """Field for S_{index+1} given prior = (S_1 .. S_index) and how each
+    was obtained."""
 
     def field(coords):
         coords = tuple(coords)
         m = len(coords)
-        grads = []
-        for f in prior:
-            _, grad = jets.evaluate_with_gradient(f, coords)
-            grads.append(grad)
+        grads = [
+            _gradient(f, coords, how == "recursion") for f, how in zip(prior, provenance)
+        ]
         xi = tuple(
             jets.TruncatedSeries([0.0] + [grads[j][comp] for j in range(index)])
             for comp in range(m)
@@ -187,7 +207,9 @@ def compute_coefficients(
             field = overrides[i + 1]
             provenance.append("closed_form")
         else:
-            field = _recursion_field(h_lifted, realization, tuple(fields), i)
+            field = _recursion_field(
+                h_lifted, realization, tuple(fields), tuple(provenance), i
+            )
             provenance.append("recursion")
             if _zero_by_theory(realization, i + 1):
                 if premise is None:

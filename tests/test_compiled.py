@@ -7,16 +7,15 @@ compiled; on ``Dual`` seeds it is the Newton Jacobian; the realization's
 traced at one state and then compared at another, for ds = 0.01 and
 ds = -0.02, on every catalog model at orders 1-4.
 
-Residual, covector, beta image and lifted field compare exactly: a
+Residual, covector, beta image and lifted field compare exactly.  A
 compiled kernel runs the same float operations in the same order, minus
-the ones that fold away (x * 1, x + 0, ...).  The Dual-pass Jacobian
-matches to 1e-15 relative to its largest entry: inside the recursion,
-jets divides a dual by a dual with ``* (1 / (w * w))`` when w is a float
-and with ``/ (w * w)`` when w is itself a dual, and the traced code always
-has floats at that level.  Only orders 3 and 4 move, where S_3 comes from
-the recursion; the largest move seen was 6.5e-17 of the largest entry
-(rigid_body), and on jacobi2d cossin, jacobi4d and lotka_volterra only
-cancellation residues below 1e-20 of it move.
+the ones that fold away (x * 1, x + 0, ...), except for the gradients of
+recursion-built S_3 and S_4, which it takes by a reverse sweep where the
+oracle uses forward duals.  Those agree to about 2e-15 relative (tested
+below, against the forward duals), and their weight ds^3 puts the
+difference below the last bit of the covector at these steps.  The
+Dual-pass Jacobian matches to 1e-15 relative to its largest entry; only
+orders 3 and 4 move, by at most 1.3e-19 of that entry (rigid_body jhi4).
 """
 
 import dataclasses
@@ -38,6 +37,7 @@ from jhi.errors import (
 from jhi.integrator import (
     _CACHE,
     StepConfig,
+    _StepKernels,
     _build_scheme,
     _cached,
     _lifted_rhs,
@@ -202,6 +202,108 @@ def test_zero_divisor_in_a_compiled_step_is_an_evaluation_error(method):
     assert failure.step_index == 0 and len(failure.trajectory) == 1
     assert type(failure.cause) is EvaluationError
     assert isinstance(failure.cause.__cause__, ZeroDivisionError)
+
+
+# ---------------------------------------------------------------------------
+# reverse sweeps: each op's adjoint rule, and the recursion-built gradients
+
+
+def _two_operands(x):
+    """Operands computed from both inputs, so every rule is chained."""
+    return x[0] * x[1] + 1.5, x[0] - 0.25 * x[1]
+
+
+_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "neg": lambda a, b: -a,
+    "exp": lambda a, b: jets.exp(a),
+    "log": lambda a, b: jets.log(a),
+    "sin": lambda a, b: jets.sin(a),
+    "cos": lambda a, b: jets.cos(a),
+    "sqrt": lambda a, b: jets.sqrt(a),
+    "ipow": lambda a, b: a**3 + b**-2,
+    "rpow": lambda a, b: jets.power(a, 0.7),
+    "atan2": lambda a, b: jets.arctan2(a, b),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_adjoint_rule_matches_forward_dual(op):
+    def f(x):
+        return _OPS[op](*_two_operands(x)) * x[1]
+
+    point = (0.7, 1.3)  # a = 2.41 and b = 0.375: inside every domain
+    graph = compiled._Graph()
+    f([graph.node("in", i, None, v) for i, v in enumerate(point)])
+    assert op in {name for name, _, _ in graph.ops}
+    kernel = Kernel("adjoint_" + op, lambda x: compiled.gradient(f(x), x))
+    got = kernel(point)
+    assert not kernel.fallback
+    _, want = jets.evaluate_with_gradient(f, point)
+    # within 1e-14 of the largest partial: a sum of chained terms may cancel
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14 * max(map(abs, want))
+
+
+def test_reverse_sweep_refuses_what_it_cannot_differentiate():
+    graph = compiled._Graph()
+    x = [graph.node("in", i, None, v) for i, v in enumerate((0.5, 2.0))]
+    with pytest.raises(compiled.TraceAbort):  # no adjoint rule
+        compiled.gradient(graph.node("tan", x[0].index, None, 0.55), x)
+    with pytest.raises(compiled.TraceAbort):  # not a kernel input
+        compiled.gradient(x[0] * x[1], [x[0], x[0] + x[1]])
+    with pytest.raises(compiled.TraceAbort):
+        compiled.gradient(x[0] * x[1], [x[0], x[0]])
+    assert compiled.gradient(3.0, x) == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("name,overrides", CATALOG, ids=IDS)
+def test_reverse_swept_recursion_gradients_match_forward(name, overrides):
+    # the residual of a recursion-built S_3/S_4 takes its gradient by a
+    # reverse sweep; forward duals, which floats still use, are the oracle
+    # (measured within 2e-15 of the largest entry).  A coefficient flagged
+    # zero is roundoff on both sides (measured up to 6e-14 on jacobi3d's
+    # S_4).
+    model, _, coeffs = _scheme(name, overrides, 4)
+    rng = np.random.default_rng(11)
+    points = [model.sample_state(rng).coords() for _ in range(5)]
+    for i in (3, 4):
+        if coeffs.provenance[i - 1] != "recursion":
+            continue
+        field = coeffs.fields[i - 1]
+        kernel = Kernel(f"grad_s{i}", lambda x: compiled.gradient(field(x), x))
+        for point in points:
+            got = np.array(kernel(point))
+            _, want = jets.evaluate_with_gradient(field, point)
+            want = np.array(want, dtype=float)
+            if coeffs.zero_flags[i - 1]:
+                _, grad_s1 = jets.evaluate_with_gradient(coeffs.fields[0], point)
+                scale = 1.0 + max(map(abs, grad_s1))
+                assert max(np.max(np.abs(got)), np.max(np.abs(want))) <= 1e-12 * scale
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not kernel.fallback
+
+
+def test_domain_fault_while_tracing_is_typed():
+    model, realization, coeffs = _scheme("lotka_volterra", None, 3)
+    residual = _StepKernels(realization, coeffs).residual  # not traced yet
+    target = model.default_state().coords()
+    outside = (-1.0,) + target[1:]
+    with pytest.raises(SeriesDomainError):
+        residual([*outside, *target, 0.01])
+    assert not residual.traced
+    residual([*target, *target, 0.01])
+    assert residual.traced and not residual.fallback
+    for fn, bad in ((jets.log, 0.0), (jets.sqrt, -1.0)):
+        kernel = Kernel("domain", lambda x: compiled.gradient(fn(x[0] * x[1]), x))
+        with pytest.raises(SeriesDomainError):
+            kernel((bad, 1.0))
+        assert not kernel.traced
+        _, want = jets.evaluate_with_gradient(lambda x: fn(x[0] * x[1]), (4.0, 1.0))
+        assert kernel((4.0, 1.0)) == pytest.approx(want, rel=1e-15)
 
 
 def test_checked_helpers_raise_instead_of_complex_results():

@@ -23,8 +23,12 @@ Two tiers:
   within 1e-10 of the record relative to 1 + |value|.
 
 A change that is meant to move the numbers beyond these tiers states
-its deviations in CHANGES.md and only then regenerates the record, with
-``PYTHONPATH=src python tests/test_golden.py``.
+its deviations in CHANGES.md and only then regenerates the record.
+``PYTHONPATH=src python tests/test_golden.py`` adds the entries the
+record lacks and keeps every recorded one; naming sections (``criteria``,
+``csv``, ``csv_values``, ``solver_counts``, ``kernel_ops``) replaces
+those sections, e.g. ``PYTHONPATH=src python tests/test_golden.py
+kernel_ops``.
 """
 
 import hashlib
@@ -226,25 +230,67 @@ def test_kernel_op_counts_match_golden():
     assert kernel_ops() == _golden()["costs"]["kernel_ops"]
 
 
-def _write(tmp):
-    from conftest import CRITERIA
+# Sections of the record: name -> the top-level key its entries sit under.
+SECTIONS = {
+    "criteria": "criteria",
+    "csv": "csv",
+    "csv_values": "csv_values",
+    "solver_counts": "costs",
+    "kernel_ops": "costs",
+}
 
-    criteria = {}
-    for index, check in enumerate(CRITERIA, start=1):
-        criteria[str(index)] = {k: float(v) for k, v in check().metrics.items()}
-    csv = {name: run_config(name, tmp / name) for name in sorted(CONFIGS)}
-    values = {
-        name: csv_lines(tmp / name) for name in sorted(CONFIGS) if _runs_solver(name)
-    }
-    costs = {name: solver_counts(name) for name in COUNTED}
-    costs["kernel_ops"] = kernel_ops()
-    record = {"criteria": criteria, "csv": csv, "csv_values": values, "costs": costs}
+
+def _section(name, tmp):
+    """One section's entries as this tree computes them."""
+    if name == "criteria":
+        from conftest import CRITERIA
+
+        return {
+            str(index): {k: float(v) for k, v in check().metrics.items()}
+            for index, check in enumerate(CRITERIA, start=1)
+        }
+    if name == "csv":
+        return {config: run_config(config, tmp / config) for config in sorted(CONFIGS)}
+    if name == "csv_values":
+        values = {}
+        for config in filter(_runs_solver, sorted(CONFIGS)):
+            run_config(config, tmp / config)
+            values[config] = csv_lines(tmp / config)
+        return values
+    if name == "solver_counts":
+        return {config: solver_counts(config) for config in COUNTED}
+    return {"kernel_ops": kernel_ops()}
+
+
+def _add_missing(old, new):
+    """Copy into old the keys of new it lacks, at any depth; keep the rest."""
+    for key, value in new.items():
+        if key not in old:
+            old[key] = value
+        elif isinstance(old[key], dict) and isinstance(value, dict):
+            _add_missing(old[key], value)
+
+
+def _write(tmp, replace=()):
+    """Replace the named sections whole; with none named, add the entries
+    the record lacks and keep every recorded one."""
+    record = _golden()
+    for section in replace or SECTIONS:
+        parent = record.setdefault(SECTIONS[section], {})
+        if replace:
+            parent.update(_section(section, tmp))
+        else:
+            _add_missing(parent, _section(section, tmp))
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n")
 
 
 if __name__ == "__main__":
+    # usage: PYTHONPATH=src python tests/test_golden.py [section ...]
     import tempfile
 
+    unknown = sorted(set(sys.argv[1:]) - set(SECTIONS))
+    if unknown:
+        sys.exit(f"unknown sections {unknown}; known: {sorted(SECTIONS)}")
     with tempfile.TemporaryDirectory() as tmp:
-        _write(Path(tmp))
+        _write(Path(tmp), replace=set(sys.argv[1:]))
     sys.exit(0)

@@ -327,8 +327,8 @@ def _partials(terms, m):
     ])
 
 
-def poisson_defect(model, coeffs, ds, x_n):
-    """max|DPhi Pi DPhi^T - Pi o Phi| / (1 + max|Pi o Phi|) for one step.
+def step_jacobian(model, coeffs, ds, x_n):
+    """(DPhi, Phi(x_n)) of one step of the lifted map.
 
     With A(y) = alpha(y, xi(y)) and B(y) = beta(y, xi(y)), the step is
     x_n = A(y), Phi(x_n) = B(y), so DPhi = DB DA^-1 (implicit function
@@ -343,7 +343,12 @@ def poisson_defect(model, coeffs, ds, x_n):
     out = kernels.residual.dual(seeded + [*x_n.coords(), ds])
     image = kernels.beta.dual(seeded + list(out[m:]))
     dphi = _partials(image, m) @ np.linalg.inv(_partials(out[:m], m))
-    x_next = ExtendedState.from_coords([jets.leading_value(v) for v in image])
+    return dphi, ExtendedState.from_coords([jets.leading_value(v) for v in image])
+
+
+def poisson_defect(model, coeffs, ds, x_n):
+    """max|DPhi Pi DPhi^T - Pi o Phi| / (1 + max|Pi o Phi|) for one step."""
+    dphi, x_next = step_jacobian(model, coeffs, ds, x_n)
     want = poisson_matrix(model.structure, x_next)
     got = dphi @ poisson_matrix(model.structure, x_n) @ dphi.T
     return float(np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want))))
@@ -371,6 +376,33 @@ def test_step_map_is_poisson(name, order):
     orders = [math.log2(a / b) for a, b in zip(defects, defects[1:])]
     print(f"{name} jhi{order} Poisson defect {defects}, fitted orders {orders}")
     assert all(2.5 <= p <= 3.5 for p in orders), (defects, orders)
+
+
+def contact_defect(model, coeffs, ds, x_n, sign):
+    """max|phi^* eta - rho eta| / (1 + max|rho eta|) for one step, with
+    eta = dz + sign * p dq on (q, p, z), phi the step at fixed t_n and
+    rho = t_n / t_{n+1}."""
+    dphi, x_next = step_jacobian(model, coeffs, ds, x_n)
+    rho = x_n.t / x_next.t
+    want = rho * np.array([sign * x_n.x[1], 0.0, 1.0])
+    got = np.array([sign * x_next.x[1], 0.0, 1.0]) @ dphi[:3, :3]
+    return float(np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("name", ("contact", "damped"))
+@pytest.mark.parametrize("order", (1, 3))
+def test_step_map_is_a_contactomorphism(name, order):
+    # on (q, p, z) with Lambda = dp^dq + p dp^dz and E = -dz the step
+    # projects to a conformal map of eta = dz - p dq: phi^* eta = rho eta
+    # (measured <= 2.2e-16).  The control dz + p dq misses by 0.02-0.16.
+    model = build_model(name)
+    coeffs = coefficients_for(model, order)
+    rng = np.random.default_rng(3)
+    starts = [model.sample_state(rng) for _ in range(3)]
+    for ds in (0.1, 0.05, 0.025):
+        for x in starts:
+            assert contact_defect(model, coeffs, ds, x, -1.0) <= 1e-13
+            assert contact_defect(model, coeffs, ds, x, 1.0) > 1e-3
 
 
 @pytest.mark.parametrize(
